@@ -15,7 +15,7 @@ Evaluation` façade (legacy methods translated into requests), the
 - :mod:`repro.api.codec` — tagged dataclass ↔ JSON codecs
   (``decode(encode(x)) == x``, deterministic bytes);
 - :mod:`repro.api.service` — :class:`ApiService`, which turns requests
-  into task graphs on the shared executor/cache and maps results (or
+  into task graphs on the shared scheduler/cache and maps results (or
   failures) back per request.
 """
 
@@ -24,8 +24,8 @@ from repro.api.errors import (OVERLOADED, TIMEOUT, ApiError, ErrorEnvelope,
                               ValidationError, envelope_from_failure,
                               envelope_from_job_error, overloaded_envelope,
                               skipped_envelope, timeout_envelope)
-from repro.api.requests import (API_VERSION, STREAM_METHODS, CompressRequest,
-                                ForecastRequest, GridRequest,
+from repro.api.requests import (API_VERSION, STREAMING_METHODS,
+                                CompressRequest, ForecastRequest, GridRequest,
                                 StreamCloseRequest, StreamOpenRequest,
                                 StreamPushRequest, TraceRequest)
 from repro.api.responses import (CompressResponse, ForecastResponse,
@@ -52,7 +52,7 @@ __all__ = [
     "OVERLOADED",
     "RunStatusResponse",
     "SCHEMAS",
-    "STREAM_METHODS",
+    "STREAMING_METHODS",
     "StreamCloseRequest",
     "StreamOpenRequest",
     "StreamOpenResponse",

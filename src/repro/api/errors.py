@@ -3,8 +3,8 @@
 A failure crossing the API boundary — a grid cell that exhausted its
 retries, a malformed request, a run id nobody knows — is always reported
 as one shape: the :class:`ErrorEnvelope`.  Its field set mirrors the
-runtime's failure taxonomy (:class:`~repro.runtime.executor.FailureRecord`
-/ :class:`~repro.runtime.executor.JobError`): ``kind`` names the failing
+runtime's failure taxonomy (:class:`~repro.runtime.manifest.FailureRecord`
+/ :class:`~repro.runtime.manifest.JobError`): ``kind`` names the failing
 phase ("compress", "train", "forecast", or an API-level kind such as
 "validation"), ``key`` the content-addressed job key (or the offending
 endpoint/field), ``message`` the exception repr, ``attempts`` how many
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.runtime.executor import FailureRecord, JobError
+from repro.runtime.manifest import FailureRecord, JobError
 
 #: API-level envelope kinds (runtime kinds are the job kinds themselves)
 VALIDATION = "validation"

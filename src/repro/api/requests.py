@@ -54,10 +54,6 @@ RAW = "RAW"
 #: downstream task a grid cell evaluates when none is requested
 DEFAULT_TASK = "forecasting"
 
-#: streaming-capable compression methods (the online encoders) —
-#: registry-derived, aliased under the name the wire contract pinned
-STREAM_METHODS: tuple[str, ...] = STREAMING_METHODS
-
 
 def _check(condition: bool, message: str, key: str) -> None:
     if not condition:
@@ -197,7 +193,7 @@ def _check_ticks(values, key: str) -> None:
 class StreamOpenRequest:
     """Open one live ``/v1/stream`` session."""
 
-    #: streaming compression method (one of :data:`STREAM_METHODS`)
+    #: streaming compression method (one of :data:`STREAMING_METHODS`)
     method: str
     error_bound: float
     #: cap on emitted segment lengths (the 16-bit wire default)
@@ -213,9 +209,9 @@ class StreamOpenRequest:
     ttl_s: float | None = None
 
     def validate(self) -> "StreamOpenRequest":
-        _check(self.method in STREAM_METHODS,
+        _check(self.method in STREAMING_METHODS,
                f"unknown streaming method {self.method!r} "
-               f"(choose from {', '.join(STREAM_METHODS)})", "method")
+               f"(choose from {', '.join(STREAMING_METHODS)})", "method")
         _check(self.error_bound >= 0.0,
                f"error_bound must be >= 0, got {self.error_bound}",
                "error_bound")

@@ -1,7 +1,7 @@
 """The one execution engine behind every frontend.
 
 :class:`ApiService` owns the shared :class:`~repro.core.cache.DiskCache`
-and :class:`~repro.runtime.executor.Executor` and knows how to turn each
+and :class:`~repro.runtime.scheduler.Scheduler` and knows how to turn each
 request type into frozen job specs, run them as ONE task graph, and map
 the results (or their failures) back to the requesting order:
 
@@ -17,11 +17,11 @@ the results (or their failures) back to the requesting order:
 Batch methods return, *positionally per request*, either the typed
 response or an :class:`~repro.api.errors.ErrorEnvelope` — under
 ``keep_going`` a failing cell degrades to its envelope while healthy
-siblings still answer.  In fail-fast mode the executor's
-:class:`~repro.runtime.executor.JobError` propagates unchanged, which is
+siblings still answer.  In fail-fast mode the scheduler's
+:class:`~repro.runtime.manifest.JobError` propagates unchanged, which is
 what the legacy façade expects; the server catches it and envelopes it.
 
-All graph runs serialize through one lock: the executor mutates shared
+All graph runs serialize through one lock: the scheduler mutates shared
 state (``last_manifest``, the run context), and the server drives this
 object from many handler threads at once.  The micro-batcher in front of
 it is what keeps the lock from becoming a per-request bottleneck.
@@ -47,10 +47,12 @@ from repro.datasets.timeseries import Dataset
 from repro.datasets.splits import Split
 from repro.metrics.errors import transformation_error
 from repro.metrics.pointwise import METRICS
-from repro.runtime.executor import Executor, FailureRecord, RunManifest
+from repro.runtime.backends import make_backend
 from repro.runtime.graph import TaskGraph
 from repro.runtime.jobs import (CompressJob, FeatureJob, JobSpec, TrainJob,
                                 freeze_kwargs)
+from repro.runtime.manifest import FailureRecord, RunManifest
+from repro.runtime.scheduler import Scheduler
 
 # ``repro.core`` types are imported lazily: its package ``__init__``
 # imports the scenario façade, which imports this module (jobs.py rule)
@@ -75,14 +77,15 @@ class ApiService:
                 "queue_path": self.config.queue_path,
                 "lease_s": self.config.queue_lease_s,
             }
-        self.executor = Executor(self.cache,
+        self.scheduler = Scheduler(
+            self.cache,
+            backend=make_backend(self.config.backend,
                                  max_workers=self.config.max_workers,
-                                 job_timeout=self.config.job_timeout,
-                                 job_retries=self.config.job_retries,
-                                 keep_going=self.config.keep_going,
-                                 backend=self.config.backend,
-                                 backend_options=backend_options)
-        self.context = self.executor.context
+                                 **backend_options),
+            job_timeout=self.config.job_timeout,
+            job_retries=self.config.job_retries,
+            keep_going=self.config.keep_going)
+        self.context = self.scheduler.context
         self._lock = threading.RLock()
         self._trace_dir = self.config.trace_dir
         if self._trace_dir is not None:
@@ -94,11 +97,11 @@ class ApiService:
 
     @property
     def last_manifest(self) -> RunManifest | None:
-        return self.executor.last_manifest
+        return self.scheduler.last_manifest
 
     @property
     def last_failures(self) -> list[FailureRecord]:
-        manifest = self.executor.last_manifest
+        manifest = self.scheduler.last_manifest
         return list(manifest.failures) if manifest is not None else []
 
     def failure_envelopes(self, manifest: RunManifest | None = None
@@ -124,7 +127,7 @@ class ApiService:
             graph.add(job)
         with self._lock:
             try:
-                return self.executor.run(graph)
+                return self.scheduler.run(graph)
             finally:
                 self._write_manifest()
 
@@ -135,7 +138,7 @@ class ApiService:
         whose manifest holds only failures) still leave an inspectable
         ``manifest.json`` for ``repro-eval trace``.
         """
-        manifest = self.executor.last_manifest
+        manifest = self.scheduler.last_manifest
         if self._trace_dir is None or manifest is None:
             return
         path = os.path.join(self._trace_dir, "manifest.json")
@@ -188,7 +191,7 @@ class ApiService:
 
     def _envelopes_by_key(self) -> dict[str, ErrorEnvelope]:
         """Envelope per failed or skipped job key of the last run."""
-        manifest = self.executor.last_manifest
+        manifest = self.scheduler.last_manifest
         if manifest is None:
             return {}
         out = {failure.key: envelope_from_failure(failure)
@@ -342,7 +345,7 @@ class ApiService:
         responses = self.forecast_batch(self.grid_requests(request))
         records = [response.to_record() for response in responses
                    if isinstance(response, ForecastResponse)]
-        return records, self.executor.last_manifest
+        return records, self.scheduler.last_manifest
 
     # -- features ---------------------------------------------------------------
 
@@ -366,7 +369,7 @@ class ApiService:
         """Rendered summary of a recorded run directory.
 
         A static method: tracing reads a directory, not the runtime, so
-        the CLI can serve it without constructing an executor."""
+        the CLI can serve it without constructing a scheduler."""
         from repro.obs.report import summarize_run
 
         lines = summarize_run(request.run_dir, top=request.top)

@@ -10,9 +10,8 @@ from repro.compression.ppa import PPA
 from repro.compression.pmc import PMC
 from repro.compression.swing import Swing
 from repro.compression.sz import SZ
-from repro.compression.registry import (ALL_METHODS, EXTRA_LOSSY_METHODS,
-                                        GRID_METHODS, LOSSLESS_METHODS,
-                                        LOSSY_METHODS, PAPER_ERROR_BOUNDS,
+from repro.compression.registry import (GRID_METHODS, LOSSY_METHODS,
+                                        PAPER_ERROR_BOUNDS,
                                         STREAMING_METHODS, make)
 from repro.compression.multivariate import (DatasetCompressionResult,
                                              compress_dataset)
@@ -28,9 +27,7 @@ __all__ = [
     "Chimp",
     "LFZip",
     "PPA",
-    "EXTRA_LOSSY_METHODS",
     "GRID_METHODS",
-    "LOSSLESS_METHODS",
     "STREAMING_METHODS",
     "ConstantSegment",
     "LFZipSegment",
@@ -50,7 +47,6 @@ __all__ = [
     "PMC",
     "Swing",
     "SZ",
-    "ALL_METHODS",
     "LOSSY_METHODS",
     "PAPER_ERROR_BOUNDS",
     "make",

@@ -34,11 +34,6 @@ LOSSY_METHODS = _registry.compressor_names(lossy=True, paper=True)
 GRID_METHODS = _registry.compressor_names(lossy=True, grid=True)
 #: methods with an online encoder for live ``/v1/stream`` sessions
 STREAMING_METHODS = _registry.compressor_names(streaming=True)
-#: extra methods from the paper's related work (Section 6)
-EXTRA_LOSSY_METHODS = _registry.compressor_names(lossy=True, grid=False)
-LOSSLESS_METHODS = _registry.compressor_names(lossy=False)
-ALL_METHODS = (_registry.compressor_names(lossy=True)
-               + _registry.compressor_names(lossy=False))
 
 
 def make(name: str) -> Compressor:

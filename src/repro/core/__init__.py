@@ -19,7 +19,7 @@ from repro.core.results import (RAW, CompressionRecord, ScenarioRecord,
 from repro.core.scenario import Evaluation
 from repro.core.shap import (ensemble_shap, expected_value,
                              mean_absolute_shap, shap_values, tree_shap)
-from repro.runtime.executor import RunManifest
+from repro.runtime.manifest import RunManifest
 
 __all__ = [
     "CompressionAdvisor",

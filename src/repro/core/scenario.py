@@ -37,8 +37,8 @@ from repro.core.results import CompressionRecord, ScenarioRecord
 from repro.datasets.splits import Split
 from repro.datasets.timeseries import Dataset, TimeSeries
 from repro.forecasting.base import Forecaster
-from repro.runtime.executor import FailureRecord, RunManifest
 from repro.runtime.jobs import JobSpec
+from repro.runtime.manifest import FailureRecord, RunManifest
 
 
 class Evaluation:
@@ -47,10 +47,6 @@ class Evaluation:
     def __init__(self, config: EvaluationConfig | None = None) -> None:
         self._service = ApiService(config)
         self.config = self._service.config
-        # pre-API aliases, kept for callers that reached into the façade
-        self._cache = self._service.cache
-        self._executor = self._service.executor
-        self._context = self._service.context
         self._trace_dir = self.config.trace_dir
 
     @property

@@ -23,7 +23,7 @@ online encoder class for ``/v1/stream``; ``paper`` marks the axes of the
 source paper's grid so its defaults and cache digests never move when a
 new plugin lands; ``grid`` opts a compressor into ``repro-eval grid``).
 Derived tuples — ``LOSSY_METHODS``, ``GRID_METHODS``, ``MODEL_NAMES``,
-``STREAM_METHODS``, schema enums, CLI choices — are all queries over
+``STREAMING_METHODS``, schema enums, CLI choices — are all queries over
 this registry, in registration order, so they cannot drift apart.
 
 The module itself is dependency-free and import-cheap.  Registration

@@ -11,12 +11,9 @@ the ``repro-eval grid`` CLI command exposes them directly, and
 ``repro-eval worker`` attaches extra queue workers to a live run.
 """
 
-from typing import Any
-
 from repro.runtime.backends import (CompletionEvent, ExecutionBackend,
                                     make_backend)
 from repro.runtime.deadline import JobTimeoutError, call_with_deadline
-from repro.runtime.executor import Executor
 from repro.runtime.faults import InjectedFailure
 from repro.runtime.graph import TaskGraph
 from repro.runtime.jobs import (CompressJob, FeatureJob, ForecastJob,
@@ -34,7 +31,6 @@ __all__ = [
     "CompletionEvent",
     "CompressJob",
     "ExecutionBackend",
-    "Executor",
     "FailureRecord",
     "FeatureJob",
     "ForecastJob",
@@ -43,7 +39,6 @@ __all__ = [
     "JobQueue",
     "JobSpec",
     "JobTimeoutError",
-    "MemoryCache",
     "RunManifest",
     "RunStore",
     "RuntimeContext",
@@ -57,13 +52,3 @@ __all__ = [
     "make_backend",
     "test_windows",
 ]
-
-
-def __getattr__(name: str) -> Any:
-    # lazy: ``MemoryCache`` lives in ``repro.core.cache``, whose package
-    # ``__init__`` imports back into this package (see executor.py)
-    if name == "MemoryCache":
-        from repro.core.cache import MemoryCache
-
-        return MemoryCache
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

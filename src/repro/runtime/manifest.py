@@ -4,7 +4,7 @@ One :class:`RunManifest` is produced per scheduler run — counts over the
 *planned subtree*, per-kind compute seconds, one :class:`AttemptRecord`
 per job attempt (including retried, lost, and failed ones), and a
 :class:`FailureRecord` per job that exhausted its attempts.  The manifest
-is available as ``Executor.last_manifest`` even when the run raised, and
+is available as ``Scheduler.last_manifest`` even when the run raised, and
 ``RunManifest.to_dict()`` is the JSON shape persisted as
 ``manifest.json`` and served by ``/v1/runs/{id}``.
 """

@@ -28,7 +28,7 @@ because a dead worker is the infrastructure's fault, not the job's.
 
 A backend with ``concurrency <= 1`` — or a run that only needs one job —
 executes through the recursive serial path, byte-identical with
-historical ``Executor`` behaviour.  Concurrent backends are driven by a
+historical serial runs.  Concurrent backends are driven by a
 wavefront loop over :class:`~repro.runtime.backends.CompletionEvent`\\ s.
 
 Every run produces a :class:`~repro.runtime.manifest.RunManifest`

@@ -13,9 +13,7 @@ façade and the ``repro-eval`` CLI:
   client (``http.client``-based);
 - :mod:`repro.server.loadgen` — the open-loop load generator and SLO
   harness behind ``repro-eval loadgen`` (Poisson arrivals, latency
-  percentiles, shed/error accounting, ``BENCH_serve.json``);
-- :mod:`repro.server.smoke` — the end-to-end smoke drive CI runs
-  (``python -m repro.server.smoke``).
+  percentiles, shed/error accounting, ``BENCH_serve.json``).
 """
 
 from repro.server.app import ReproServer, serve

@@ -12,7 +12,7 @@ thread per connection, no new dependencies) exposing the typed API:
   :class:`~repro.api.requests.GridRequest`, returns ``202`` with a run id
   immediately, and executes the grid on a background thread;
 - ``GET /v1/runs/{id}`` — polls a grid run: status, the
-  :class:`~repro.runtime.executor.RunManifest` dict, per-cell failure
+  :class:`~repro.runtime.manifest.RunManifest` dict, per-cell failure
   envelopes, and the completed records once done;
 - ``POST /v1/trace`` — renders a recorded run directory;
 - ``GET /v1/healthz`` / ``GET /v1/metricz`` — liveness and the merged
@@ -85,7 +85,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger
 from repro.obs.metrics import merge_snapshots
 from repro.obs.trace import WALL, JsonlSink, ListSink
-from repro.runtime.executor import JobError
+from repro.runtime.manifest import JobError
 from repro.runtime.store import RunStore
 
 _log = get_logger("repro.server")
@@ -96,7 +96,9 @@ class _HttpServer(ThreadingHTTPServer):
 
     ``ThreadingHTTPServer`` uses daemon threads, so ``server_close()``
     can return while a handler is still emitting its span — and the
-    smoke test's span-per-request accounting would race the trace file.
+    span-per-request accounting of ``tests/server/test_server.py::
+    test_trace_dir_holds_one_request_span_per_served_request`` would
+    race the trace file.
     Non-daemon threads + ``block_on_close`` make shutdown deterministic;
     the handler closes every connection after one response (no
     keep-alive), so no idle client can wedge the join.
@@ -420,7 +422,7 @@ class ReproServer:
     def metric_totals(self) -> dict[str, Any]:
         """Exact merged metric totals since the server started.
 
-        Executor runs flush metric deltas into the trace sink; merging
+        Scheduler runs flush metric deltas into the trace sink; merging
         those flushed records with the registry's live snapshot counts
         every increment exactly once (the fixed-bucket histogram merge is
         associative, so the fold order is irrelevant).  The sink is read

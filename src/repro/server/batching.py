@@ -44,7 +44,7 @@ Observability per batch and per request:
 Failure semantics mirror the runtime's ``keep_going`` degradation: the
 ``execute`` callable returns, positionally, a response *or* an
 :class:`~repro.api.errors.ErrorEnvelope` per request; if it raises
-instead (fail-fast :class:`~repro.runtime.executor.JobError`, a bug), the
+instead (fail-fast :class:`~repro.runtime.manifest.JobError`, a bug), the
 whole batch degrades to envelopes rather than hanging any waiter.
 """
 
@@ -61,7 +61,7 @@ from repro.api.errors import (INTERNAL, ErrorEnvelope,
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import WALL
-from repro.runtime.executor import JobError
+from repro.runtime.manifest import JobError
 
 #: queue sentinel that shuts the dispatcher down
 _STOP = object()

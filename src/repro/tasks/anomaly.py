@@ -29,10 +29,10 @@ from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
-from repro.analytics.detectors import f1_score, match_detections
 from repro.features.registry import compute_all, relative_difference
 from repro.obs import trace as obs_trace
 from repro.runtime.jobs import RAW, CompressJob, JobSpec, RuntimeContext
+from repro.tasks.detectors import f1_score, match_detections
 from repro.tasks.detectors import make as make_detector
 
 if TYPE_CHECKING:

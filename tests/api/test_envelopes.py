@@ -13,7 +13,7 @@ import pytest
 from repro.api import ErrorEnvelope, encode
 from repro.api.errors import (envelope_from_failure, envelope_from_job_error,
                               skipped_envelope)
-from repro.runtime.executor import FailureRecord, JobError
+from repro.runtime.manifest import FailureRecord, JobError
 
 #: THE envelope wire shape.  Changing this set is an API break: bump
 #: API_VERSION and keep a migration note in DESIGN.md.

@@ -85,7 +85,7 @@ def test_keep_going_degrades_failed_cells_to_envelopes(monkeypatch):
 
 
 def test_fail_fast_raises_job_error(monkeypatch):
-    from repro.runtime.executor import JobError
+    from repro.runtime.manifest import JobError
 
     monkeypatch.setenv("REPRO_INJECT_FAILURE", "compress:SWING")
     service = ApiService(EvaluationConfig(dataset_length=1_000,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.compression import (ALL_METHODS, LOSSY_METHODS, PAPER_ERROR_BOUNDS,
-                               make)
+from repro import registry
+from repro.compression import LOSSY_METHODS, PAPER_ERROR_BOUNDS, make
 
 
 def test_paper_error_bounds_match_section_3_2():
@@ -27,7 +27,7 @@ def test_gorilla_is_lossless():
 
 
 def test_all_methods_instantiable_with_matching_names():
-    for name in ALL_METHODS:
+    for name in registry.compressor_names():
         assert make(name).name == name
 
 

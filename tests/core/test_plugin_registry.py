@@ -56,14 +56,14 @@ def test_tasks_and_their_model_axes():
 
 
 def test_derived_tuples_are_registry_queries():
-    from repro.api.requests import STREAM_METHODS
+    from repro import api
     from repro.compression.registry import (GRID_METHODS, LOSSY_METHODS,
                                             STREAMING_METHODS)
     from repro.forecasting.registry import MODEL_NAMES
 
     assert LOSSY_METHODS == registry.compressor_names(lossy=True, paper=True)
     assert set(GRID_METHODS) == set(registry.compressor_names(grid=True))
-    assert STREAMING_METHODS == STREAM_METHODS
+    assert STREAMING_METHODS == api.STREAMING_METHODS
     assert set(STREAMING_METHODS) == \
         set(registry.compressor_names(streaming=True))
     assert MODEL_NAMES == registry.model_names(task="forecasting",

@@ -78,7 +78,6 @@ def test_facade_exposes_api_and_legacy_aliases():
     evaluation = Evaluation(_config())
     assert isinstance(evaluation.api, ApiService)
     assert evaluation.cache is evaluation.api.cache
-    assert evaluation._executor is evaluation.api.executor  # pre-API alias
     assert evaluation.last_manifest is None
     assert evaluation.last_failures == []
     assert evaluation.last_failure_envelopes == []

@@ -10,9 +10,10 @@ import pytest
 import repro.obs as obs
 from repro.obs import metrics, trace
 from repro.obs.metrics import merge_snapshots
-from repro.runtime.executor import Executor
+from repro.runtime.backends import make_backend
 from repro.runtime.graph import TaskGraph
 from repro.runtime.jobs import JobSpec
+from repro.runtime.scheduler import Scheduler
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,14 @@ def _shutdown_after():
     obs.shutdown()
 
 
-def run_jobs(jobs, **executor_kwargs):
+def run_jobs(jobs, max_workers=1, **scheduler_kwargs):
     graph = TaskGraph()
     for job in jobs:
         graph.add(job)
-    executor = Executor(**executor_kwargs)
-    values = executor.run(graph)
-    return values, executor.last_manifest
+    scheduler = Scheduler(backend=make_backend(None, max_workers=max_workers),
+                          **scheduler_kwargs)
+    values = scheduler.run(graph)
+    return values, scheduler.last_manifest
 
 
 def read_trace(path):

@@ -16,9 +16,9 @@ from repro.runtime.backends.pool import PoolBackend
 from repro.runtime.backends.queue import QueueBackend
 from repro.runtime.backends.serial import SerialBackend
 from repro.runtime.deadline import JobTimeoutError, call_with_deadline
-from repro.runtime.executor import Executor
 from repro.runtime.graph import TaskGraph
 from repro.runtime.jobs import JobSpec
+from repro.runtime.scheduler import Scheduler
 
 BACKENDS = ("serial", "pool", "queue")
 
@@ -52,8 +52,9 @@ def run_diamond(cache_dir, backend, **kwargs):
     _, _, _, top = diamond()
     graph = TaskGraph()
     graph.add(top)
-    executor = Executor(DiskCache(str(cache_dir)), max_workers=2,
-                        backend=backend, **kwargs)
+    executor = Scheduler(DiskCache(str(cache_dir)),
+                         backend=make_backend(backend, max_workers=2),
+                         **kwargs)
     values = executor.run(graph)
     return values, executor.last_manifest
 
@@ -87,7 +88,8 @@ def test_queue_backend_requires_a_disk_cache():
     _, _, _, top = diamond()
     graph = TaskGraph()
     graph.add(top)
-    executor = Executor(MemoryCache(), max_workers=2, backend="queue")
+    executor = Scheduler(MemoryCache(),
+                         backend=make_backend("queue", max_workers=2))
     with pytest.raises(ValueError, match="DiskCache"):
         executor.run(graph)
 
@@ -165,8 +167,8 @@ def test_worker_killed_every_time_exhausts_requeues(tmp_path, monkeypatch):
     base, left, right, top = diamond()
     graph = TaskGraph()
     graph.add(top)
-    executor = Executor(DiskCache(str(tmp_path)), max_workers=2,
-                        backend=backend, keep_going=True)
+    executor = Scheduler(DiskCache(str(tmp_path)), backend=backend,
+                         keep_going=True)
     values = executor.run(graph)
     manifest = executor.last_manifest
 

@@ -1,4 +1,4 @@
-"""Executor behaviour: caching, single-flight, recovery, parallelism."""
+"""Scheduler behaviour: caching, single-flight, recovery, parallelism."""
 
 from dataclasses import dataclass
 from typing import ClassVar
@@ -6,10 +6,11 @@ from typing import ClassVar
 import pytest
 
 from repro.core import Evaluation, EvaluationConfig
-from repro.core.cache import DiskCache
-from repro.runtime.executor import Executor, MemoryCache
+from repro.core.cache import DiskCache, MemoryCache
+from repro.runtime.backends import make_backend
 from repro.runtime.graph import TaskGraph
 from repro.runtime.jobs import JobSpec
+from repro.runtime.scheduler import Scheduler
 
 CALLS: list[str] = []  # execution log for in-process (serial) runs
 
@@ -50,7 +51,7 @@ def run_targets(executor, *jobs):
 
 def test_serial_execution_and_results():
     base, left, right, top = diamond()
-    values = run_targets(Executor(), top)
+    values = run_targets(Scheduler(), top)
     assert values[top.key()] == 1000 + 11 + 101
     assert values[base.key()] == 1
 
@@ -58,12 +59,12 @@ def test_serial_execution_and_results():
 def test_single_flight_shared_dependency_runs_once():
     CALLS.clear()
     base, left, right, top = diamond()
-    run_targets(Executor(), top)
+    run_targets(Scheduler(), top)
     assert CALLS.count("base") == 1
 
 
 def test_manifest_counts_cold_run():
-    executor = Executor()
+    executor = Scheduler()
     _, _, _, top = diamond()
     run_targets(executor, top)
     manifest = executor.last_manifest
@@ -78,10 +79,10 @@ def test_manifest_counts_cold_run():
 def test_warm_run_serves_everything_from_cache(tmp_path):
     cache = DiskCache(str(tmp_path))
     _, _, _, top = diamond()
-    run_targets(Executor(cache), top)
+    run_targets(Scheduler(cache), top)
 
     CALLS.clear()
-    fresh = Executor(DiskCache(str(tmp_path)))  # cold memory, warm disk
+    fresh = Scheduler(DiskCache(str(tmp_path)))  # cold memory, warm disk
     values = run_targets(fresh, top)
     assert values[top.key()] == 1112
     assert CALLS == []
@@ -99,7 +100,7 @@ def test_manifest_restricted_to_requested_targets(tmp_path):
     graph = TaskGraph()
     for job in (base, left, right, top):
         graph.add(job)
-    executor = Executor(DiskCache(str(tmp_path)))
+    executor = Scheduler(DiskCache(str(tmp_path)))
     executor.run(graph, targets=(left.key(),))
     manifest = executor.last_manifest
     assert manifest.total == 2  # left + base, not right/top
@@ -108,7 +109,7 @@ def test_manifest_restricted_to_requested_targets(tmp_path):
     assert manifest.phase_total == {"add": 2}
 
     # warm subset rerun: only the (cached) target itself is probed
-    fresh = Executor(DiskCache(str(tmp_path)))
+    fresh = Scheduler(DiskCache(str(tmp_path)))
     fresh.run(graph, targets=(left.key(),))
     assert fresh.last_manifest.total == 1
     assert fresh.last_manifest.cached == 1
@@ -117,10 +118,10 @@ def test_manifest_restricted_to_requested_targets(tmp_path):
 def test_cached_targets_prune_their_dependencies(tmp_path):
     cache = DiskCache(str(tmp_path))
     _, _, _, top = diamond()
-    run_targets(Executor(cache), top)
+    run_targets(Scheduler(cache), top)
 
     CALLS.clear()
-    fresh = Executor(DiskCache(str(tmp_path)))
+    fresh = Scheduler(DiskCache(str(tmp_path)))
     values = run_targets(fresh, top)
     # the target came from cache, so no dependency was even loaded
     assert set(values) == {top.key()}
@@ -130,13 +131,13 @@ def test_cached_targets_prune_their_dependencies(tmp_path):
 def test_corrupt_cache_entry_recovers(tmp_path):
     cache = DiskCache(str(tmp_path))
     base, left, right, top = diamond()
-    run_targets(Executor(cache), top)
+    run_targets(Scheduler(cache), top)
 
     with open(cache._path(top.key()), "wb") as handle:
         handle.write(b"truncated garbage")
 
     CALLS.clear()
-    fresh = Executor(DiskCache(str(tmp_path)))
+    fresh = Scheduler(DiskCache(str(tmp_path)))
     values = run_targets(fresh, top)
     assert values[top.key()] == 1112
     assert CALLS == ["top"]  # dependencies still came from cache
@@ -149,7 +150,7 @@ def test_corrupt_cache_entry_recovers(tmp_path):
 
 
 def test_memory_cache_fallback_single_flights_across_runs():
-    executor = Executor()  # MemoryCache
+    executor = Scheduler()  # MemoryCache
     _, _, _, top = diamond()
     run_targets(executor, top)
     CALLS.clear()
@@ -160,9 +161,10 @@ def test_memory_cache_fallback_single_flights_across_runs():
 
 def test_parallel_matches_serial_on_stub_graph(tmp_path):
     base, left, right, top = diamond()
-    serial = run_targets(Executor(DiskCache(str(tmp_path / "s"))), top)
+    serial = run_targets(Scheduler(DiskCache(str(tmp_path / "s"))), top)
     parallel = run_targets(
-        Executor(DiskCache(str(tmp_path / "p")), max_workers=2), top)
+        Scheduler(DiskCache(str(tmp_path / "p")),
+                  backend=make_backend(None, max_workers=2)), top)
     assert serial[top.key()] == parallel[top.key()]
 
 

@@ -9,10 +9,12 @@ from typing import ClassVar
 import pytest
 
 from repro.core import Evaluation, EvaluationConfig
-from repro.runtime.executor import (Executor, FailureRecord, InjectedFailure,
-                                    JobError, JobTimeoutError)
+from repro.runtime.backends import make_backend
+from repro.runtime.deadline import JobTimeoutError
 from repro.runtime.graph import TaskGraph
 from repro.runtime.jobs import JobSpec
+from repro.runtime.manifest import FailureRecord, JobError
+from repro.runtime.scheduler import Scheduler
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def test_fail_fast_raises_job_error_naming_the_job(workers):
     boom = BoomJob("b1")
     other = OkJob("ok1", 7)
     before = multiprocessing.active_children()
-    executor = Executor(max_workers=workers)
+    executor = Scheduler(backend=make_backend(None, max_workers=workers))
     with pytest.raises(JobError) as excinfo:
         run_targets(executor, boom, other)
     assert excinfo.value.kind == "boom"
@@ -133,7 +135,8 @@ def test_pool_fail_fast_shuts_down_cleanly_with_slow_siblings():
     slow = [SleepJob(f"s{i}", 30.0) for i in range(2)]
     before = multiprocessing.active_children()
     start = time.monotonic()
-    executor = Executor(max_workers=2, job_timeout=2.0)
+    executor = Scheduler(backend=make_backend(None, max_workers=2),
+                         job_timeout=2.0)
     with pytest.raises(JobError):
         run_targets(executor, boom, *slow)
     assert time.monotonic() - start < 25.0  # did not wait out the sleeps
@@ -146,8 +149,8 @@ def test_pool_fail_fast_shuts_down_cleanly_with_slow_siblings():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_transient_failure_is_retried_and_succeeds(tmp_path, workers):
     flaky = FlakyJob("f1", str(tmp_path), fail_times=1)
-    executor = Executor(max_workers=workers, job_retries=1,
-                        retry_backoff=0.0)
+    executor = Scheduler(backend=make_backend(None, max_workers=workers),
+                         job_retries=1, retry_backoff=0.0)
     values = run_targets(executor, flaky, OkJob("ok2", 1))
     assert values[flaky.key()] == "f1"
     manifest = executor.last_manifest
@@ -160,8 +163,8 @@ def test_transient_failure_is_retried_and_succeeds(tmp_path, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_exhausted_retries_count_every_attempt(tmp_path, workers):
     flaky = FlakyJob("f2", str(tmp_path), fail_times=10)
-    executor = Executor(max_workers=workers, job_retries=2,
-                        retry_backoff=0.0, keep_going=True)
+    executor = Scheduler(backend=make_backend(None, max_workers=workers),
+                         job_retries=2, retry_backoff=0.0, keep_going=True)
     values = run_targets(executor, flaky, OkJob("ok3", 1))
     assert flaky.key() not in values
     (failure,) = executor.last_manifest.failures
@@ -178,7 +181,8 @@ def test_keep_going_isolates_the_dependent_subtree(workers):
     downstream = OkJob("down", 5, (boom,))
     independent = [OkJob(f"ind{i}", i) for i in range(3)]
     before = multiprocessing.active_children()
-    executor = Executor(max_workers=workers, keep_going=True)
+    executor = Scheduler(backend=make_backend(None, max_workers=workers),
+                         keep_going=True)
     values = run_targets(executor, downstream, *independent)
     # every independent cell completed; the poisoned subtree did not
     for job in independent:
@@ -204,7 +208,8 @@ def test_keep_going_serial_and_pool_agree():
     results = {}
     for workers in (1, 2):
         targets, _ = build()
-        executor = Executor(max_workers=workers, keep_going=True)
+        executor = Scheduler(backend=make_backend(None, max_workers=workers),
+                             keep_going=True)
         values = run_targets(executor, *targets)
         manifest = executor.last_manifest
         results[workers] = (values, [f.key for f in manifest.failures],
@@ -244,7 +249,8 @@ def test_broken_pool_is_restarted_and_jobs_resubmitted(tmp_path):
     killer = WorkerKillerJob("k1", str(tmp_path))
     sibling = OkJob("sib", 11)
     before = multiprocessing.active_children()
-    executor = Executor(max_workers=2, job_retries=1, retry_backoff=0.0)
+    executor = Scheduler(backend=make_backend(None, max_workers=2),
+                         job_retries=1, retry_backoff=0.0)
     values = run_targets(executor, killer, sibling)
     # the second attempt (on a fresh pool) succeeds; the sibling survives
     # the breakage too, resubmitted if it was in flight when the pool died
@@ -257,7 +263,8 @@ def test_broken_pool_is_restarted_and_jobs_resubmitted(tmp_path):
 def test_broken_pool_without_retries_fails_the_job(tmp_path):
     killer = WorkerKillerJob("k2", str(tmp_path))
     before = multiprocessing.active_children()
-    executor = Executor(max_workers=2, keep_going=True)
+    executor = Scheduler(backend=make_backend(None, max_workers=2),
+                         keep_going=True)
     values = run_targets(executor, killer, OkJob("sib2", 12),
                          OkJob("sib3", 13))
     assert killer.key() not in values
@@ -275,7 +282,8 @@ def test_pool_timeout_kills_hung_job_and_keeps_pool_healthy():
     quick = OkJob("quick", 9)
     before = multiprocessing.active_children()
     start = time.monotonic()
-    executor = Executor(max_workers=2, job_timeout=0.5, keep_going=True)
+    executor = Scheduler(backend=make_backend(None, max_workers=2),
+                         job_timeout=0.5, keep_going=True)
     values = run_targets(executor, hung, quick)
     assert time.monotonic() - start < 30.0
     assert values[quick.key()] == 9
@@ -287,7 +295,8 @@ def test_pool_timeout_kills_hung_job_and_keeps_pool_healthy():
 
 def test_serial_timeout_raises_job_error():
     hung = SleepJob("hang2", 60.0)
-    executor = Executor(max_workers=1, job_timeout=0.3)
+    executor = Scheduler(backend=make_backend(None, max_workers=1),
+                         job_timeout=0.3)
     start = time.monotonic()
     with pytest.raises(JobError) as excinfo:
         run_targets(executor, hung)
@@ -300,7 +309,7 @@ def test_serial_timeout_raises_job_error():
 
 def test_injection_hook_matches_kind_and_repr(monkeypatch):
     monkeypatch.setenv("REPRO_INJECT_FAILURE", "ok:target")
-    executor = Executor(keep_going=True)
+    executor = Scheduler(keep_going=True)
     values = run_targets(executor, OkJob("target", 1), OkJob("spared", 2))
     assert len(values) == 1
     (failure,) = executor.last_manifest.failures

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.api.errors import ErrorEnvelope
-from repro.runtime.executor import FailureRecord, JobError
+from repro.runtime.manifest import FailureRecord, JobError
 from repro.server.batching import MicroBatcher
 
 

@@ -16,7 +16,9 @@ Covers the serving-layer guarantees:
 - terminal grid runs are evicted from memory beyond the tracking window
   and keep answering their polls from the durable run store;
 - ``/v1/metricz`` parses the trace sink incrementally (byte-offset
-  high-water mark), not the whole file per scrape.
+  high-water mark), not the whole file per scrape;
+- with ``trace_dir`` set, ``trace.jsonl`` holds one ``server.request``
+  span per request served, and ``/v1/trace`` renders that directory.
 """
 
 import concurrent.futures
@@ -27,7 +29,8 @@ import time
 import pytest
 
 from repro.api import (API_VERSION, CompressRequest, CompressResponse,
-                       ErrorEnvelope, ForecastRequest, GridRequest, encode)
+                       ErrorEnvelope, ForecastRequest, GridRequest,
+                       TraceRequest, encode)
 from repro.core.config import EvaluationConfig
 from repro.server.app import ReproServer, _MetricsTail
 from repro.server.client import ReproClient, ServerError
@@ -182,6 +185,27 @@ def test_metricz_counts_requests_and_cache_ratio(client):
     assert totals["counters"]["server.requests"] >= 2
     assert "server.cache.hit_ratio" in totals["gauges"]
     assert totals["counters"].get("server.status.200", 0) >= 1
+
+
+def test_trace_dir_holds_one_request_span_per_served_request(tmp_path):
+    requests = [CompressRequest("ETTm1", ("PMC", "SWING")[i % 2], 0.1,
+                                part="full") for i in range(8)]
+    config = _config(trace_dir=str(tmp_path))
+    with ReproServer(config, port=0, batch_window_s=0.05) as server:
+        client = ReproClient(port=server.port)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            responses = list(pool.map(client.compress, requests))
+        assert all(isinstance(r, CompressResponse) for r in responses)
+        trace = client.trace(TraceRequest(run_dir=str(tmp_path)))
+        # the last request served: its count includes itself
+        served = client.metricz()["counters"]["server.requests"]
+    # stop() joined every handler, so the trace file is final
+    with open(tmp_path / "trace.jsonl", encoding="utf-8") as stream:
+        records = [json.loads(line) for line in stream if line.strip()]
+    request_spans = [r for r in records if r.get("type") == "span"
+                     and r.get("name") == "server.request"]
+    assert len(request_spans) == served
+    assert len(trace.lines) > 0
 
 
 # -- backpressure / load shedding ---------------------------------------------
