@@ -6,10 +6,12 @@ paths pay them identically).  This harness isolates the layers the
 kernels actually replaced:
 
 - PMC / Swing segmentation (``kernels.pmc_chase`` / ``kernels.swing_chase``
-  vs the per-point scalar loops) without serialization or gzip,
-- the SZ block codec (``_encode_block_kernel`` vs ``_encode_block_scalar``
-  over every block and predictor),
-- Huffman pack/unpack (``use_kernel=True`` vs ``False`` on a realistic SZ
+  vs the per-point loops of ``repro.reference``) without serialization or
+  gzip,
+- the SZ block codec (``sz._encode_block_kernel`` vs
+  ``reference.sz_encode_block`` over every block and predictor),
+- Huffman pack/unpack (``huffman.encode``/``decode`` vs
+  ``reference.huffman_encode``/``huffman_decode`` on a realistic SZ
   symbol stream).
 
 Run directly::
@@ -43,25 +45,26 @@ def _row(label: str, kernel_s: float, scalar_s: float) -> None:
 
 def bench_segmentation(values: np.ndarray, error_bound: float,
                        repeats: int) -> None:
+    from repro import reference
     from repro.compression import kernels, timestamps
-    from repro.compression.pmc import PMC
-    from repro.compression.swing import Swing
 
     max_length = timestamps.MAX_SEGMENT_LENGTH
     _row(f"PMC segmentation   eps={error_bound:g}",
          best_of(lambda: kernels.pmc_chase(values, error_bound, max_length),
                  repeats),
-         best_of(lambda: PMC._segments_scalar(values, error_bound), repeats))
-    swing = Swing(use_kernel=False)
+         best_of(lambda: reference.ReferencePMC._segments(values,
+                                                          error_bound),
+                 repeats))
+    swing = reference.ReferenceSwing()
     _row(f"Swing segmentation eps={error_bound:g}",
          best_of(lambda: kernels.swing_chase(values, error_bound, max_length),
                  repeats),
-         best_of(lambda: swing._segments_scalar(values, error_bound),
-                 repeats))
+         best_of(lambda: swing._segments(values, error_bound), repeats))
 
 
 def bench_sz_blocks(values: np.ndarray, error_bound: float,
                     repeats: int) -> None:
+    from repro import reference
     from repro.compression import sz
 
     def run(encode_block) -> None:
@@ -81,11 +84,12 @@ def bench_sz_blocks(values: np.ndarray, error_bound: float,
 
     _row(f"SZ block codec     eps={error_bound:g}",
          best_of(lambda: run(sz._encode_block_kernel), repeats),
-         best_of(lambda: run(sz._encode_block_scalar), repeats))
+         best_of(lambda: run(reference.sz_encode_block), repeats))
 
 
 def bench_huffman(values: np.ndarray, error_bound: float,
                   repeats: int) -> None:
+    from repro import reference
     from repro.compression.sz import SZ
     from repro.datasets.timeseries import TimeSeries
     from repro.encoding import huffman
@@ -98,12 +102,12 @@ def bench_huffman(values: np.ndarray, error_bound: float,
         dtype=np.int64)
     encoded = huffman.encode(symbols)
     _row(f"Huffman encode     eps={error_bound:g}",
-         best_of(lambda: huffman.encode(symbols, use_kernel=True), repeats),
-         best_of(lambda: huffman.encode(symbols.tolist(), use_kernel=False),
+         best_of(lambda: huffman.encode(symbols), repeats),
+         best_of(lambda: reference.huffman_encode(symbols.tolist()),
                  repeats))
     _row(f"Huffman decode     eps={error_bound:g}",
-         best_of(lambda: huffman.decode(encoded, use_kernel=True), repeats),
-         best_of(lambda: huffman.decode(encoded, use_kernel=False), repeats))
+         best_of(lambda: huffman.decode(encoded), repeats),
+         best_of(lambda: reference.huffman_decode(encoded), repeats))
 
 
 def _extract_huffman_stream(payload: bytes) -> bytes:

@@ -3,15 +3,17 @@
 The vectorized kernels in ``repro.compression.kernels`` (and the
 table-driven Huffman paths in ``repro.encoding.huffman``) are only worth
 their complexity while they stay measurably faster than the scalar
-reference implementations they shadow — and the same holds for the fused
-forecasting kernels in ``repro.forecasting.nn.kernels``, the shared-work
-ARIMA fit, and the zero-copy columnar cache format.  This module measures
-those margins and freezes them into machine-readable baselines:
+reference implementations in ``repro.reference`` — and the same holds for
+the fused forecasting kernels in ``repro.forecasting.nn.kernels``, the
+shared-work ARIMA fit, and the zero-copy columnar cache format.  This
+module measures those margins and freezes them into machine-readable
+baselines:
 
-- :func:`run_bench` times kernel vs scalar ``compress`` (and ``decompress``)
-  for PMC, Swing, and SZ on an ETTm1-like synthetic series across a sweep
-  of error bounds, best-of-N wall-clock per measurement, and checks on the
-  fly that both paths produced byte-identical payloads.
+- :func:`run_bench` times each registered codec's ``compress`` against
+  its ``repro.reference`` twin (and the codec's ``decompress``) on an
+  ETTm1-like synthetic series across a sweep of error bounds, best-of-N
+  wall-clock per measurement, and checks on the fly that both produced
+  byte-identical payloads.
 - The report also times one small end-to-end grid cell (a compression
   sweep through :class:`repro.core.Evaluation`) so kernel-level speedups
   can be related to whole-pipeline wall time.
@@ -149,10 +151,10 @@ def percentiles(samples: list[float],
 
 
 def _compressor_pair(method: str):
+    from repro import reference
     from repro.registry import make_compressor
 
-    return (make_compressor(method, use_kernel=True),
-            make_compressor(method, use_kernel=False))
+    return make_compressor(method), reference.make_compressor(method)
 
 
 def bench_method(method: str, series, error_bound: float,

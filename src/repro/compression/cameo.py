@@ -17,11 +17,12 @@ constraints on the segment slope ``s``:
   reconstructed series' ACF close to the original's.
 
 The first time the intersection empties the segment closes at the
-previous point and the violator anchors the next one.  The scalar
-reference loop folds the three running sums point by point; the
-vectorized kernel (``kernels.cameo_chase``) performs the exact same
-float64 folds with seeded cumsums and exact min/max envelopes, so both
-paths are pinned byte-identical (``tests/compression/test_cameo.py``).
+previous point and the violator anchors the next one.  The vectorized
+kernel (``kernels.cameo_chase``) performs the exact same float64 folds
+as the scalar loop ``ReferenceCameo`` in ``repro/reference.py`` (which
+folds the three running sums point by point) with seeded cumsums and
+exact min/max envelopes, so the two are pinned byte-identical
+(``tests/compression/test_cameo.py``).
 """
 
 from __future__ import annotations
@@ -69,21 +70,14 @@ class Cameo(Compressor):
     name = "CAMEO"
     is_lossy = True
 
-    def __init__(self, use_kernel: bool = True,
-                 acf_weight: float = ACF_WEIGHT) -> None:
-        self.use_kernel = use_kernel
+    def __init__(self, acf_weight: float = ACF_WEIGHT) -> None:
         self.acf_weight = acf_weight
 
     def compress(self, series: TimeSeries, error_bound: float
                  ) -> CompressionResult:
         self._check_inputs(series, error_bound)
-        values = series.values
-        if self.use_kernel:
-            lengths, slopes, intercepts = self._segments_kernel(values,
-                                                                error_bound)
-        else:
-            lengths, slopes, intercepts = self._segments_scalar(values,
-                                                                error_bound)
+        lengths, slopes, intercepts = self._segments(series.values,
+                                                     error_bound)
         payload = self._serialize(series, lengths, slopes, intercepts)
         compressed = gzip_bytes(payload)
         return record_result(CompressionResult(
@@ -97,8 +91,8 @@ class Cameo(Compressor):
             num_segments=len(lengths),
         ))
 
-    def _segments_kernel(self, values: np.ndarray, error_bound: float
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _segments(self, values: np.ndarray, error_bound: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Chunked cone∩aggregate scan plus one vectorized fit/verify pass."""
         lengths, cone_lo, cone_hi = kernels.cameo_chase(
             values, error_bound, self.acf_weight,
@@ -127,51 +121,6 @@ class Cameo(Compressor):
         return (np.array([s[0] for s in out], dtype=np.int64),
                 np.array([s[1] for s in out]),
                 np.array([s[2] for s in out]))
-
-    def _segments_scalar(self, values: np.ndarray, error_bound: float
-                         ) -> tuple[list[int], list[float], list[float]]:
-        """Per-point reference loop, kept to pin the kernel's semantics."""
-        segments: list[tuple[int, float, float]] = []
-        weight = self.acf_weight * error_bound
-
-        anchor_index = 0
-        anchor_value = float(values[0])
-        slope_lo = -math.inf
-        slope_hi = math.inf
-        sum_dev = 0.0
-        sum_mass = 0.0
-        sum_run = 0.0
-
-        for i in range(1, len(values)):
-            value = float(values[i])
-            allowed = error_bound * abs(value)
-            run = i - anchor_index
-            # the same float64 folds, in the same order, as the kernel's
-            # seeded cumsums
-            new_dev = sum_dev + (value - anchor_value)
-            new_mass = sum_mass + abs(value)
-            new_run = sum_run + run
-            budget = weight * new_mass
-            new_lo = max(slope_lo, (value - allowed - anchor_value) / run,
-                         (new_dev - budget) / new_run)
-            new_hi = min(slope_hi, (value + allowed - anchor_value) / run,
-                         (new_dev + budget) / new_run)
-            window_full = run + 1 > timestamps.MAX_SEGMENT_LENGTH
-            if window_full or new_lo > new_hi:
-                self._fit(values, error_bound, anchor_index, i,
-                          slope_lo, slope_hi, segments)
-                anchor_index = i
-                anchor_value = value
-                slope_lo = -math.inf
-                slope_hi = math.inf
-                sum_dev = sum_mass = sum_run = 0.0
-            else:
-                slope_lo, slope_hi = new_lo, new_hi
-                sum_dev, sum_mass, sum_run = new_dev, new_mass, new_run
-        self._fit(values, error_bound, anchor_index, len(values),
-                  slope_lo, slope_hi, segments)
-        return ([s[0] for s in segments], [s[1] for s in segments],
-                [s[2] for s in segments])
 
     def _fit(self, values: np.ndarray, error_bound: float, i0: int, i1: int,
              slope_lo: float, slope_hi: float,

@@ -53,8 +53,8 @@ The PMC close predicate compares window *sums* against count-scaled bounds
 instead of a divide — and the scalar batch loop and streaming encoder use
 the exact same form, so close decisions agree bit for bit.  Swing's cone
 terms use the same subtraction/division order as the scalar loop.  The
-scalar paths are kept as references and pinned to the kernels by the
-equivalence suite in ``tests/compression/test_kernels.py``.
+scalar loops live in ``repro/reference.py`` and are pinned to the kernels by
+the equivalence suite in ``tests/compression/test_kernels.py``.
 """
 
 from __future__ import annotations

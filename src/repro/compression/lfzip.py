@@ -16,8 +16,9 @@ for an adaptive one:
   escape-free run are known up front (``t = rint((v - base) / step)``
   against a fixed base), the whole run encodes vectorized — shifted
   dot products instead of a per-point recursion — which is what the
-  kernel path does; the scalar reference performs the identical float64
-  operations point by point and is pinned byte-identical.
+  kernel does.  The scalar reference (``ReferenceLFZip`` in
+  ``repro/reference.py``) performs the identical float64 operations
+  point by point and is pinned byte-identical.
 
 * Between blocks both encoder and decoder replay the **same
   deterministic NLMS sweep** over the block's lattice sequence, so the
@@ -134,53 +135,6 @@ def encode_block_kernel(block: np.ndarray, tolerance: np.ndarray,
     return symbols, outliers, recon, t_values, escaped
 
 
-def encode_block_scalar(block: np.ndarray, tolerance: np.ndarray,
-                        step: float, carry: float, weights
-                        ) -> tuple[list[int], list[float], list[float],
-                                   list[float], list[bool]]:
-    """Per-point reference with the same lattice semantics as the kernel."""
-    symbols: list[int] = []
-    outliers: list[float] = []
-    recon: list[float] = []
-    t_values: list[float] = []
-    escaped: list[bool] = []
-    limit = int(_LATTICE_LIMIT)
-    base = carry
-    history = [0.0] * ORDER
-    for k in range(len(block)):
-        value = float(block[k])
-        if step > 0.0:
-            quotient = (value - base) / step
-            if quotient > _LATTICE_LIMIT:
-                quotient = _LATTICE_LIMIT
-            elif quotient < -_LATTICE_LIMIT:
-                quotient = -_LATTICE_LIMIT
-            t = float(min(max(round(quotient), -limit), limit))
-        else:
-            t = 0.0
-        fitted = base + t * step
-        prediction = 0.0
-        for j in range(ORDER):
-            prediction += weights[j] * history[j]
-        code = t - round(prediction)
-        if abs(code) < _CODE_LIMIT and abs(fitted - value) <= tolerance[k]:
-            symbols.append(varint.zigzag_encode(int(code)) + 1)
-            recon.append(fitted)
-            t_values.append(t)
-            escaped.append(False)
-            history = [t] + history[:-1]
-        else:
-            stored = float(np.float32(value))
-            symbols.append(_ESCAPE_SYMBOL)
-            recon.append(stored)
-            outliers.append(stored)
-            t_values.append(0.0)
-            escaped.append(True)
-            base = stored
-            history = [0.0] * ORDER
-    return symbols, outliers, recon, t_values, escaped
-
-
 def update_weights(weights, t_values, escaped) -> tuple[float, ...]:
     """Deterministic per-block NLMS sweep, replayed by the decoder.
 
@@ -260,20 +214,21 @@ class LFZip(Compressor):
     name = "LFZIP"
     is_lossy = True
 
-    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE,
-                 use_kernel: bool = True) -> None:
+    #: the per-block encoder and the symbol coder;
+    #: ``ReferenceLFZip`` in ``repro/reference.py`` swaps in the scalar loops
+    _encode_block = staticmethod(encode_block_kernel)
+    _encode_symbols = staticmethod(huffman.encode)
+
+    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         if block_size < 4:
             raise ValueError(f"block size must be at least 4, got {block_size}")
         self.block_size = block_size
-        self.use_kernel = use_kernel
 
     def compress(self, series: TimeSeries, error_bound: float
                  ) -> CompressionResult:
         self._check_inputs(series, error_bound)
         values = np.ascontiguousarray(series.values, dtype=np.float64)
         n = len(values)
-        encode_block = (encode_block_kernel if self.use_kernel
-                        else encode_block_scalar)
 
         symbol_parts: list = []
         outlier_parts: list[list[float]] = []
@@ -285,7 +240,7 @@ class LFZip(Compressor):
             block = values[begin:begin + self.block_size]
             tolerance = error_bound * np.abs(block)
             step = block_step(block, error_bound)
-            symbols, outliers, recon, t_values, escaped = encode_block(
+            symbols, outliers, recon, t_values, escaped = self._encode_block(
                 block, tolerance, step, carry, weights)
             symbol_parts.append(symbols)
             outlier_parts.append(outliers)
@@ -294,14 +249,10 @@ class LFZip(Compressor):
             weights = update_weights(weights, t_values, escaped)
             carry = float(recon[-1])
 
-        if self.use_kernel:
-            all_symbols = (np.concatenate(symbol_parts) if symbol_parts
-                           else np.empty(0, dtype=np.int64))
-            reconstructed = (np.concatenate(recon_parts) if recon_parts
-                             else np.empty(0))
-        else:
-            all_symbols = [s for part in symbol_parts for s in part]
-            reconstructed = np.array([r for part in recon_parts for r in part])
+        all_symbols = (np.concatenate(symbol_parts) if symbol_parts
+                       else np.empty(0, dtype=np.int64))
+        reconstructed = (np.concatenate(recon_parts) if recon_parts
+                         else np.empty(0))
         all_outliers = [o for part in outlier_parts for o in part]
 
         payload = self._serialize(series, n, steps, all_symbols, all_outliers)
@@ -327,7 +278,7 @@ class LFZip(Compressor):
                  varint.encode_unsigned(self.block_size),
                  _COUNT.pack(len(steps))]
         parts += [_STEP.pack(step) for step in steps]
-        encoded_symbols = huffman.encode(symbols, use_kernel=self.use_kernel)
+        encoded_symbols = self._encode_symbols(symbols)
         parts.append(varint.encode_unsigned(len(encoded_symbols)))
         parts.append(encoded_symbols)
         parts.append(_COUNT.pack(len(outliers)))

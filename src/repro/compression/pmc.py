@@ -14,14 +14,13 @@ Window means are anchored to one global prefix-sum fold (``mean = (S[end] -
 S[start]) / length``), so the batch scalar loop, the dense-sweep kernel,
 and the streaming encoder all compute bit-identical means.  The
 segmentation runs on the dense first-violation sweep in
-``repro.compression.kernels`` by default; ``PMC(use_kernel=False)`` selects
-the scalar per-point reference loop, which the equivalence suite pins to
-the kernel (identical segments, byte-identical payloads).
+``repro.compression.kernels``.  The scalar per-point loop it replaced is
+``ReferencePMC`` in ``repro/reference.py``, which the equivalence suite
+pins to the kernel (identical segments, byte-identical payloads).
 """
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
@@ -57,16 +56,9 @@ class PMC(Compressor):
     name = "PMC"
     is_lossy = True
 
-    def __init__(self, use_kernel: bool = True) -> None:
-        self.use_kernel = use_kernel
-
     def compress(self, series: TimeSeries, error_bound: float) -> CompressionResult:
         self._check_inputs(series, error_bound)
-        values = series.values
-        if self.use_kernel:
-            lengths, means = self._segments_kernel(values, error_bound)
-        else:
-            lengths, means = self._segments_scalar(values, error_bound)
+        lengths, means = self._segments(series.values, error_bound)
 
         payload = self._serialize(series, lengths, means)
         compressed = gzip_bytes(payload)
@@ -81,8 +73,8 @@ class PMC(Compressor):
         ))
 
     @staticmethod
-    def _segments_kernel(values: np.ndarray, error_bound: float
-                         ) -> tuple[np.ndarray, np.ndarray]:
+    def _segments(values: np.ndarray, error_bound: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
         """Dense-sweep segmentation (see ``repro.compression.kernels``)."""
         lengths, means, lo, hi = kernels.pmc_chase(
             values, error_bound, timestamps.MAX_SEGMENT_LENGTH)
@@ -95,49 +87,6 @@ class PMC(Compressor):
                 stored[i] = _store_float32(float(means[i]),
                                            float(lo[i]), float(hi[i]))
         return lengths, stored
-
-    @staticmethod
-    def _segments_scalar(values: np.ndarray, error_bound: float
-                         ) -> tuple[list[int], list[float]]:
-        """Per-point reference loop, kept to pin the kernel's semantics."""
-        lengths: list[int] = []
-        means: list[float] = []
-
-        window_start = 0
-        base = 0.0  # prefix sum at the window start
-        total = 0.0  # running prefix sum over the whole array (never reset)
-        lo = -math.inf  # greatest lower bound imposed by any window point
-        hi = math.inf  # least upper bound
-
-        def close(end: int) -> None:
-            """Emit the window [window_start, end) as one mean segment."""
-            length = end - window_start
-            mean = (total - base) / length
-            lengths.append(length)
-            means.append(_store_float32(mean, lo, hi))
-
-        for i, value in enumerate(values):
-            allowed = error_bound * abs(value)
-            new_lo = max(lo, value - allowed)
-            new_hi = min(hi, value + allowed)
-            new_total = total + value
-            count = i - window_start + 1
-            # The close predicate compares the window *sum* against the
-            # count-scaled bounds (one multiply instead of a divide) —
-            # the exact form the kernels and the streaming encoder use.
-            diff = new_total - base
-            window_full = count > timestamps.MAX_SEGMENT_LENGTH
-            if window_full or diff < new_lo * count or diff > new_hi * count:
-                close(i)
-                window_start = i
-                base = total
-                lo = value - allowed
-                hi = value + allowed
-            else:
-                lo, hi = new_lo, new_hi
-            total = new_total
-        close(len(values))
-        return lengths, means
 
     @staticmethod
     def _reconstruct_series(series: TimeSeries, lengths, means) -> TimeSeries:

@@ -17,8 +17,8 @@ verification runs once, vectorized over the whole series, and only the
 rare drifting windows fall back to the per-window split.
 
 The cone scan runs on the dense first-violation sweep in
-``repro.compression.kernels`` by default; ``Swing(use_kernel=False)``
-selects the scalar per-point reference loop, pinned to the kernel by the
+``repro.compression.kernels``.  The scalar per-point loop it replaced is
+``ReferenceSwing`` in ``repro/reference.py``, pinned to the kernel by the
 equivalence suite.
 """
 
@@ -65,18 +65,10 @@ class Swing(Compressor):
     name = "SWING"
     is_lossy = True
 
-    def __init__(self, use_kernel: bool = True) -> None:
-        self.use_kernel = use_kernel
-
     def compress(self, series: TimeSeries, error_bound: float) -> CompressionResult:
         self._check_inputs(series, error_bound)
-        values = series.values
-        if self.use_kernel:
-            lengths, slopes, intercepts = self._segments_kernel(values,
-                                                                error_bound)
-        else:
-            lengths, slopes, intercepts = self._segments_scalar(values,
-                                                                error_bound)
+        lengths, slopes, intercepts = self._segments(series.values,
+                                                     error_bound)
 
         payload = self._serialize(series, lengths, slopes, intercepts)
         compressed = gzip_bytes(payload)
@@ -91,8 +83,8 @@ class Swing(Compressor):
             num_segments=len(lengths),
         ))
 
-    def _segments_kernel(self, values: np.ndarray, error_bound: float
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _segments(self, values: np.ndarray, error_bound: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense cone sweep plus one vectorized fit/verify pass."""
         lengths, cone_lo, cone_hi = kernels.swing_chase(
             values, error_bound, timestamps.MAX_SEGMENT_LENGTH)
@@ -122,37 +114,6 @@ class Swing(Compressor):
         return (np.array([s[0] for s in out], dtype=np.int64),
                 np.array([s[1] for s in out]),
                 np.array([s[2] for s in out]))
-
-    def _segments_scalar(self, values: np.ndarray, error_bound: float
-                         ) -> tuple[list[int], list[float], list[float]]:
-        """Per-point reference loop, kept to pin the kernel's semantics."""
-        segments: list[tuple[int, float, float]] = []
-
-        anchor_index = 0
-        anchor_value = float(values[0])
-        slope_lo = -math.inf
-        slope_hi = math.inf
-
-        for i in range(1, len(values)):
-            value = float(values[i])
-            allowed = error_bound * abs(value)
-            run = i - anchor_index
-            new_lo = max(slope_lo, (value - allowed - anchor_value) / run)
-            new_hi = min(slope_hi, (value + allowed - anchor_value) / run)
-            window_full = run + 1 > timestamps.MAX_SEGMENT_LENGTH
-            if window_full or new_lo > new_hi:
-                self._fit(values, error_bound, anchor_index, i,
-                          slope_lo, slope_hi, segments)
-                anchor_index = i
-                anchor_value = value
-                slope_lo = -math.inf
-                slope_hi = math.inf
-            else:
-                slope_lo, slope_hi = new_lo, new_hi
-        self._fit(values, error_bound, anchor_index, len(values),
-                  slope_lo, slope_hi, segments)
-        return ([s[0] for s in segments], [s[1] for s in segments],
-                [s[2] for s in segments])
 
     def _fit(self, values: np.ndarray, error_bound: float, i0: int, i1: int,
              slope_lo: float, slope_hi: float,

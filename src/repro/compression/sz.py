@@ -27,10 +27,10 @@ Lorenzo code stream is the first difference of ``t``, the linear stream
 the second difference, and the mean stream ``t`` itself — so quantization
 decouples from prediction and the decoder recovers ``t`` with exact
 integer cumulative sums.  This makes the vectorized kernel and the scalar
-per-point reference produce bit-identical symbols, reconstructions, and
-payloads (pinned by the equivalence suite); lattice coordinates clamp at
-``±2**50`` on both paths so first/second differences stay exact in
-float64.
+per-point reference (``ReferenceSZ`` in ``repro/reference.py``) produce
+bit-identical symbols, reconstructions, and payloads (pinned by the
+equivalence suite); lattice coordinates clamp at ``±2**50`` on both paths
+so first/second differences stay exact in float64.
 """
 
 from __future__ import annotations
@@ -146,70 +146,12 @@ def _encode_block_kernel(block: np.ndarray, tolerance: np.ndarray,
     return symbols, outliers, recon
 
 
-def _encode_block_scalar(block: np.ndarray, tolerance: np.ndarray,
-                         step: float, anchor: float, predictor: int
-                         ) -> tuple[list[int], list[float], list[float]]:
-    """Per-point reference with the same lattice semantics as the kernel."""
-    symbols: list[int] = []
-    outliers: list[float] = []
-    recon: list[float] = []
-    limit = int(_LATTICE_LIMIT)
-    mean_mode = predictor == MEAN
-    base = anchor
-    t_prev = 0
-    d_prev = 0
-    for k in range(len(block)):
-        value = float(block[k])
-        if step > 0.0:
-            # clamp before rounding: identical to the kernel's rint + clip
-            # for every finite quotient, and it keeps round() finite
-            quotient = (value - base) / step
-            if quotient > _LATTICE_LIMIT:
-                quotient = _LATTICE_LIMIT
-            elif quotient < -_LATTICE_LIMIT:
-                quotient = -_LATTICE_LIMIT
-            t = round(quotient)  # round-half-even, same as np.rint
-            t = min(max(t, -limit), limit)
-        else:
-            t = 0
-        fitted = base + t * step
-        if mean_mode:
-            code = t
-        elif predictor == LINEAR:
-            code = (t - t_prev) - d_prev
-        else:
-            code = t - t_prev
-        if abs(code) < _CODE_LIMIT and abs(fitted - value) <= tolerance[k]:
-            symbols.append(varint.zigzag_encode(code) + 1)
-            recon.append(fitted)
-            d_prev = t - t_prev
-            t_prev = t
-        else:
-            stored = float(np.float32(value))
-            symbols.append(_ESCAPE_SYMBOL)
-            recon.append(stored)
-            outliers.append(stored)
-            if not mean_mode:
-                base = stored
-            t_prev = 0
-            d_prev = 0
-    return symbols, outliers, recon
-
-
 def _block_cost_kernel(symbols: np.ndarray, num_outliers: int) -> int:
     """Bit cost used to pick the predictor (integer, so ties are exact)."""
     magnitudes = np.maximum(symbols, 1).astype(np.float64)
     # frexp's exponent of an exact positive integer is its bit length
     bit_lengths = np.frexp(magnitudes)[1]
     return 32 * num_outliers + len(symbols) + int(bit_lengths.sum())
-
-
-def _block_cost_scalar(symbols: list[int], num_outliers: int) -> int:
-    """Reference bit cost — the same integer as :func:`_block_cost_kernel`."""
-    bits = 32 * num_outliers + len(symbols)
-    for symbol in symbols:
-        bits += max(symbol, 1).bit_length()
-    return bits
 
 
 @register_compressor("SZ", lossy=True, paper=True, grid=True,
@@ -220,64 +162,40 @@ class SZ(Compressor):
     name = "SZ"
     is_lossy = True
 
-    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE,
-                 use_kernel: bool = True) -> None:
+    #: the per-block encoder, the predictor bit cost and the symbol coder;
+    #: ``ReferenceSZ`` in ``repro/reference.py`` swaps in the scalar loops
+    _encode_block = staticmethod(_encode_block_kernel)
+    _block_cost = staticmethod(_block_cost_kernel)
+    _encode_symbols = staticmethod(huffman.encode)
+
+    def __init__(self, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         if block_size < 4:
             raise ValueError(f"block size must be at least 4, got {block_size}")
         self.block_size = block_size
-        self.use_kernel = use_kernel
 
     def compress(self, series: TimeSeries, error_bound: float) -> CompressionResult:
         self._check_inputs(series, error_bound)
         values = np.ascontiguousarray(series.values, dtype=np.float64)
         n = len(values)
-        if self.use_kernel:
-            encode_block, block_cost = _encode_block_kernel, _block_cost_kernel
-        else:
-            encode_block, block_cost = _encode_block_scalar, _block_cost_scalar
+        tolerance_all, steps, block_means = self._block_stats(values,
+                                                              error_bound)
 
         symbol_parts: list = []
         outlier_parts: list[list[float]] = []
         recon_parts: list = []
         block_meta: list[tuple[int, float, float]] = []
-        if self.use_kernel and n:
-            # Per-block stats computed for all blocks at once.  Full blocks
-            # reshape into a matrix whose row-wise reductions are bit-identical
-            # to the per-block reductions of the scalar path (same contiguous
-            # layout, same pairwise summation), so the payloads stay pinned.
-            abs_values = np.abs(values)
-            tolerance_all = error_bound * abs_values
-            num_full = n // self.block_size
-            split = num_full * self.block_size
-            mins = np.empty((n + self.block_size - 1) // self.block_size)
-            means = np.empty_like(mins)
-            if num_full:
-                shape = (num_full, self.block_size)
-                mins[:num_full] = abs_values[:split].reshape(shape).min(axis=1)
-                means[:num_full] = values[:split].reshape(shape).mean(axis=1)
-            if split < n:
-                mins[-1] = abs_values[split:].min()
-                means[-1] = values[split:].mean()
-            steps = (2.0 * error_bound * mins).astype(np.float32)
-            block_means = means.astype(np.float32)
         carry = 0.0  # reconstruction preceding the block (0.0 at the start)
         for index, begin in enumerate(range(0, n, self.block_size)):
             block = values[begin:begin + self.block_size]
-            if self.use_kernel:
-                tolerance = tolerance_all[begin:begin + self.block_size]
-                step = float(steps[index])
-                mean = float(block_means[index])
-            else:
-                tolerance = error_bound * np.abs(block)
-                step = float(np.float32(
-                    2.0 * error_bound * float(np.min(np.abs(block)))))
-                mean = float(np.float32(np.mean(block)))
+            tolerance = tolerance_all[begin:begin + self.block_size]
+            step = float(steps[index])
+            mean = float(block_means[index])
             best = None
             for predictor in _PREDICTORS:
                 anchor = mean if predictor == MEAN else carry
-                encoded = encode_block(block, tolerance, step, anchor,
-                                       predictor)
-                cost = block_cost(encoded[0], len(encoded[1]))
+                encoded = self._encode_block(block, tolerance, step, anchor,
+                                             predictor)
+                cost = self._block_cost(encoded[0], len(encoded[1]))
                 if best is None or cost < best[0]:
                     best = (cost, predictor, encoded)
             _, predictor, (symbols, outliers, recon) = best
@@ -287,14 +205,10 @@ class SZ(Compressor):
             block_meta.append((predictor, step, mean))
             carry = float(recon[-1])
 
-        if self.use_kernel:
-            all_symbols = (np.concatenate(symbol_parts) if symbol_parts
-                           else np.empty(0, dtype=np.int64))
-            reconstructed = (np.concatenate(recon_parts) if recon_parts
-                             else np.empty(0))
-        else:
-            all_symbols = [s for part in symbol_parts for s in part]
-            reconstructed = np.array([r for part in recon_parts for r in part])
+        all_symbols = (np.concatenate(symbol_parts) if symbol_parts
+                       else np.empty(0, dtype=np.int64))
+        reconstructed = (np.concatenate(recon_parts) if recon_parts
+                         else np.empty(0))
         all_outliers = [o for part in outlier_parts for o in part]
 
         payload = self._serialize(series, n, block_meta, all_symbols,
@@ -320,6 +234,32 @@ class SZ(Compressor):
             num_segments=changes,
         ))
 
+    def _block_stats(self, values: np.ndarray, error_bound: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pointwise tolerances plus every block's float32 step and mean.
+
+        Full blocks reshape into a matrix whose row-wise reductions are
+        bit-identical to per-block reductions (same contiguous layout,
+        same pairwise summation), so the payloads stay pinned to the
+        per-block reference.
+        """
+        n = len(values)
+        abs_values = np.abs(values)
+        num_full = n // self.block_size
+        split = num_full * self.block_size
+        mins = np.empty((n + self.block_size - 1) // self.block_size)
+        means = np.empty_like(mins)
+        if num_full:
+            shape = (num_full, self.block_size)
+            mins[:num_full] = abs_values[:split].reshape(shape).min(axis=1)
+            means[:num_full] = values[:split].reshape(shape).mean(axis=1)
+        if split < n:
+            mins[-1] = abs_values[split:].min()
+            means[-1] = values[split:].mean()
+        return (error_bound * abs_values,
+                (2.0 * error_bound * mins).astype(np.float32),
+                means.astype(np.float32))
+
     def _serialize(self, series: TimeSeries, n: int,
                    block_meta: list[tuple[int, float, float]],
                    symbols, outliers: list[float]) -> bytes:
@@ -329,7 +269,7 @@ class SZ(Compressor):
                  _COUNT.pack(len(block_meta))]
         parts += [_BLOCK_META.pack(predictor, step, mean)
                   for predictor, step, mean in block_meta]
-        encoded_symbols = huffman.encode(symbols, use_kernel=self.use_kernel)
+        encoded_symbols = self._encode_symbols(symbols)
         parts.append(varint.encode_unsigned(len(encoded_symbols)))
         parts.append(encoded_symbols)
         parts.append(_COUNT.pack(len(outliers)))

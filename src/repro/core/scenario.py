@@ -5,8 +5,8 @@ split is lossy-compressed and decompressed at each error bound; the model
 predicts from the transformed windows; and predictions are scored against
 the *raw* future values.
 
-:class:`Evaluation` is now a thin **adapter over the typed API**
-(:mod:`repro.api`): every legacy method translates its arguments into the
+:class:`Evaluation` is a thin **adapter over the typed API**
+(:mod:`repro.api`): every method translates its arguments into the
 request objects of the shared contract (:class:`~repro.api.requests.
 CompressRequest`, :class:`~repro.api.requests.ForecastRequest`,
 :class:`~repro.api.requests.GridRequest`), hands them to the
@@ -17,10 +17,10 @@ retraining variant of Section 4.4.1 (Figure 7) rides on the same
 requests via ``retrained=True``.
 
 Grid-axis arguments (``methods``, ``error_bounds``, ...) are strictly
-keyword-only: passing them positionally raises :class:`TypeError`.  The
-deprecation shim that used to map positional call sites onto keywords
-was removed after one release cycle — see the migration table in
-README.md for the before/after call shapes.
+keyword-only: passing them positionally raises :class:`TypeError`.
+Several axes share a type (tuples of names, tuples of floats), so a
+positional mix-up would silently run the wrong grid instead of failing.
+README.md's migration table lists the keyword call shapes.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class Evaluation:
     def __init__(self, config: EvaluationConfig | None = None) -> None:
         self._service = ApiService(config)
         self.config = self._service.config
-        self._trace_dir = self.config.trace_dir
 
     @property
     def api(self) -> ApiService:

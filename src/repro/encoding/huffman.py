@@ -6,15 +6,17 @@ stage, exactly as described in the paper's Section 3.2.  The encoded stream
 is self-describing: the code-length table is stored in the header so the
 decoder can rebuild the canonical code.
 
-Both directions have a table-driven array kernel and a per-symbol scalar
-reference producing byte-identical streams (pinned by the equivalence
-tests).  The encode kernel looks every symbol's ``(code, length)`` up in a
-dense table, expands the codes into an MSB-first bit matrix, and packs the
-valid bits with ``np.packbits``; the decode kernel unpacks the payload with
+Both directions run a table-driven array kernel.  The encode kernel looks
+every symbol's ``(code, length)`` up in a dense table, expands the codes
+into an MSB-first bit matrix, and packs the valid bits with
+``np.packbits``; the decode kernel unpacks the payload with
 ``np.unpackbits`` and walks it through a dense ``2**max_length`` prefix
 table, one table lookup per symbol instead of one dict probe per bit.
-Degenerate shapes (huge symbols, very long codes) fall back to the scalar
-``BitWriter``/``BitReader`` paths automatically.
+Degenerate shapes (huge symbols, very long codes) do not fit those tables
+and fall back to the per-bit ``BitWriter``/``BitReader`` loops
+(:func:`_pack_bits`/:func:`_unpack_bits`).  ``repro/reference.py`` runs
+those loops on every input, and the equivalence tests pin the two paths
+to byte-identical streams.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.encoding.bits import BitReader, BitWriter
 from repro.encoding import varint
 
 # The encode kernel's symbol -> (code, length) lookup is a dense array, so
-# absurdly large symbol values fall back to the scalar path.
+# absurdly large symbol values fall back to the per-bit path.
 _MAX_DENSE_SYMBOL = 1 << 22
 # The decode kernel's prefix table has 2**max_length entries.
 _MAX_DENSE_BITS = 18
@@ -91,7 +93,7 @@ def canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
 
 def _pack_kernel(symbols: np.ndarray,
                  codes: dict[int, tuple[int, int]]) -> bytes | None:
-    """Array-packed payload bits; ``None`` when the shape needs the scalar."""
+    """Array-packed payload bits; ``None`` if the shape needs the bit loop."""
     max_symbol = int(symbols.max())
     max_length = max(length for _, length in codes.values())
     if max_symbol > _MAX_DENSE_SYMBOL or max_length > _MAX_KERNEL_CODE_LENGTH:
@@ -112,30 +114,42 @@ def _pack_kernel(symbols: np.ndarray,
     return np.packbits(bits[valid].astype(np.uint8)).tobytes()
 
 
-def encode(symbols: Sequence[int], use_kernel: bool = True) -> bytes:
-    """Encode a sequence of non-negative integers.
+def _pack_bits(symbols: Sequence[int],
+               codes: dict[int, tuple[int, int]]) -> bytes:
+    """Per-symbol ``BitWriter`` packing, for shapes the kernel cannot take."""
+    writer = BitWriter()
+    for symbol in symbols:
+        code, length = codes[symbol]
+        writer.write_bits(code, length)
+    return writer.to_bytes()
 
-    Layout: ``varint(n_symbols) varint(n_distinct)
-    [varint(symbol) varint(length)]* payload_bits``.
-    """
+
+def _header(symbols: Sequence[int]
+            ) -> tuple[bytes, dict[int, tuple[int, int]]]:
+    """Stream header (counts and code-length table) plus the canonical code."""
     lengths = code_lengths(symbols)
-    codes = canonical_codes(lengths)
     header = bytearray()
     header += varint.encode_unsigned(len(symbols))
     header += varint.encode_unsigned(len(lengths))
     for symbol in sorted(lengths):
         header += varint.encode_unsigned(int(symbol))
         header += varint.encode_unsigned(lengths[symbol])
-    if use_kernel and len(symbols):
+    return bytes(header), canonical_codes(lengths)
+
+
+def encode(symbols: Sequence[int]) -> bytes:
+    """Encode a sequence of non-negative integers.
+
+    Layout: ``varint(n_symbols) varint(n_distinct)
+    [varint(symbol) varint(length)]* payload_bits``.
+    """
+    header, codes = _header(symbols)
+    if len(symbols):
         array = np.ascontiguousarray(symbols, dtype=np.int64)
         packed = _pack_kernel(array, codes)
         if packed is not None:
-            return bytes(header) + packed
-    writer = BitWriter()
-    for symbol in symbols:
-        code, length = codes[symbol]
-        writer.write_bits(code, length)
-    return bytes(header) + writer.to_bytes()
+            return header + packed
+    return header + _pack_bits(symbols, codes)
 
 
 def _unpack_kernel(payload: bytes, codes: dict[int, tuple[int, int]],
@@ -170,27 +184,14 @@ def _unpack_kernel(payload: bytes, codes: dict[int, tuple[int, int]],
     return symbols
 
 
-def decode(data: bytes, use_kernel: bool = True) -> list[int]:
-    """Decode a stream produced by :func:`encode`."""
-    count, offset = varint.decode_unsigned(data, 0)
-    distinct, offset = varint.decode_unsigned(data, offset)
-    lengths: dict[int, int] = {}
-    for _ in range(distinct):
-        symbol, offset = varint.decode_unsigned(data, offset)
-        length, offset = varint.decode_unsigned(data, offset)
-        lengths[symbol] = length
-    if count and not lengths:
-        raise ValueError("huffman stream announces symbols but carries no table")
-    codes = canonical_codes(lengths)
-    if use_kernel and count:
-        unpacked = _unpack_kernel(data[offset:], codes, count)
-        if unpacked is not None:
-            return unpacked
+def _unpack_bits(payload: bytes, codes: dict[int, tuple[int, int]],
+                 count: int) -> list[int]:
+    """Per-bit ``BitReader`` decode, for codes too long for the table."""
     decoding = {
         (code, length): symbol
         for symbol, (code, length) in codes.items()
     }
-    reader = BitReader(data[offset:])
+    reader = BitReader(payload)
     symbols: list[int] = []
     code = 0
     length = 0
@@ -203,3 +204,28 @@ def decode(data: bytes, use_kernel: bool = True) -> list[int]:
             code = 0
             length = 0
     return symbols
+
+
+def _read_header(data: bytes
+                 ) -> tuple[int, dict[int, tuple[int, int]], int]:
+    """``(symbol count, canonical code, payload offset)`` of a stream."""
+    count, offset = varint.decode_unsigned(data, 0)
+    distinct, offset = varint.decode_unsigned(data, offset)
+    lengths: dict[int, int] = {}
+    for _ in range(distinct):
+        symbol, offset = varint.decode_unsigned(data, offset)
+        length, offset = varint.decode_unsigned(data, offset)
+        lengths[symbol] = length
+    if count and not lengths:
+        raise ValueError("huffman stream announces symbols but carries no table")
+    return count, canonical_codes(lengths), offset
+
+
+def decode(data: bytes) -> list[int]:
+    """Decode a stream produced by :func:`encode`."""
+    count, codes, offset = _read_header(data)
+    if count:
+        unpacked = _unpack_kernel(data[offset:], codes, count)
+        if unpacked is not None:
+            return unpacked
+    return _unpack_bits(data[offset:], codes, count)

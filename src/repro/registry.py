@@ -1,12 +1,12 @@
 """Unified plugin registry for compressors, models, and downstream tasks.
 
-Every evaluation axis used to live in a hand-edited literal: the
-compressor map in ``repro.compression.registry``, the model map in
+Every evaluation axis is read from here: the compressor map in
+``repro.compression.registry``, the model map in
 ``repro.forecasting.registry``, the streaming-method tuple in
 ``repro.api.requests``, the CLI ``choices=...`` lists, and the schema
-enums.  Adding a codec meant finding all of them.  This module replaces
-those literals with one registry that implementations join by decorating
-themselves::
+enums.  Hand-edited literals in each of those places would drift apart
+the moment a codec was added to one and not the others, so instead there
+is one registry that implementations join by decorating themselves::
 
     @register_compressor("PMC", lossy=True, paper=True, grid=True,
                          streaming="OnlinePMC")

@@ -1,12 +1,13 @@
 """Process-pool execution backend (``concurrent.futures``).
 
-The pool mechanics formerly embedded in ``Executor._run_pool`` live
-here: submission with parent-side wall-clock timestamps (for queue-wait
-estimates), worker-side ``job`` spans and metric flushes through a
-picklable obs snapshot, and ``BrokenProcessPool`` recovery — when the
-pool dies, every in-flight job is reported to the scheduler as an
-``"error"`` event against a freshly restarted pool, so the scheduler's
-ordinary retry budget decides what gets resubmitted.
+Runs jobs in local worker processes when one machine's cores are
+enough and no queue durability is wanted.  The backend owns the pool
+mechanics: submission with parent-side wall-clock timestamps (for
+queue-wait estimates), worker-side ``job`` spans and metric flushes
+through a picklable obs snapshot, and ``BrokenProcessPool`` recovery —
+when the pool dies, every in-flight job is reported to the scheduler as
+an ``"error"`` event against a freshly restarted pool, so the
+scheduler's ordinary retry budget decides what gets resubmitted.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ work, each expressed here as an immutable, content-addressed job spec:
 
 A job's :meth:`~JobSpec.key` is a stable content hash over its kind and
 every field, so identical specs share one cache entry and any field change
-produces a fresh key — these keys subsume the hand-built cache-key strings
-the old monolithic ``Evaluation`` maintained.  Jobs declare their inputs
+produces a fresh key; no caller builds a cache key by hand, so two layers
+can never disagree on one.  Jobs declare their inputs
 via :meth:`~JobSpec.dependencies`, from which :class:`repro.runtime.graph.
 TaskGraph` builds the execution DAG, and compute their result in
 :meth:`~JobSpec.run` given a :class:`RuntimeContext` and the dependency

@@ -1,9 +1,10 @@
 """Durable store of async grid runs (SQLite WAL).
 
-``repro-serve`` used to track async ``/v1/grid`` runs only in daemon
-memory — a restart answered every ``/v1/runs/{id}`` poll with a 404 and
-hours of grid work became unreferenceable (the results still sat in the
-content-addressed cache, but nothing mapped the run id back to them).
+Async ``/v1/grid`` runs outlive the daemon that accepted them: if run
+state lived only in daemon memory, a restart would answer every
+``/v1/runs/{id}`` poll with a 404 and leave hours of grid work
+unreferenceable (the results would still sit in the content-addressed
+cache, but nothing would map the run id back to them).
 :class:`RunStore` persists each run's lifecycle — submitted payload,
 status transitions, and terminal manifest/failures/records — so a
 restarted daemon keeps answering polls for runs it no longer remembers.

@@ -118,15 +118,16 @@ _STREAMED: Any = object()
 class _MetricsTail:
     """Incremental metric-snapshot reader over an append-only trace sink.
 
-    ``/v1/metricz`` used to re-read and re-parse the whole trace JSONL on
-    every scrape — O(file) per call, unbounded under sustained traffic.
-    Flushed metric records are append-only, and the histogram/counter
-    merge is associative, so the fold over everything already consumed
-    can be cached: each scrape seeks to a byte-offset high-water mark,
-    parses only whole new lines (a writer may be mid-append; the partial
-    tail is left for the next scrape), and folds them into the running
-    merge.  A truncated or replaced file (size below the high-water mark)
-    resets the cache and re-reads from the start.
+    Re-reading and re-parsing the whole trace JSONL on every
+    ``/v1/metricz`` scrape would cost O(file) per call, unbounded under
+    sustained traffic.  Flushed metric records are append-only, and the
+    histogram/counter merge is associative, so the fold over everything
+    already consumed is cached: each scrape seeks to a byte-offset
+    high-water mark, parses only whole new lines (a writer may be
+    mid-append; the partial tail is left for the next scrape), and folds
+    them into the running merge.  A truncated or replaced file (size
+    below the high-water mark) resets the cache and re-reads from the
+    start.
     """
 
     def __init__(self) -> None:
@@ -381,12 +382,12 @@ class ReproServer:
     def _evict_runs(self) -> None:
         """Drop the oldest terminal runs beyond the tracking window.
 
-        ``_runs`` used to grow without bound — every completed grid run
-        (records and all) stayed in daemon memory forever.  Terminal runs
-        beyond ``max_tracked_runs`` are evicted here (dict insertion
-        order = submission order, so the oldest go first); their polls
-        fall through to the durable :class:`RunStore` in
-        :meth:`run_status`.  Live runs are never evicted.
+        Without eviction ``_runs`` would grow without bound, keeping
+        every completed grid run (records and all) in daemon memory
+        forever.  Terminal runs beyond ``max_tracked_runs`` are evicted
+        here (dict insertion order = submission order, so the oldest go
+        first); their polls fall through to the durable :class:`RunStore`
+        in :meth:`run_status`.  Live runs are never evicted.
         """
         with self._runs_lock:
             terminal = [run_id for run_id, run in self._runs.items()

@@ -6,14 +6,14 @@ beyond forecasting.  :class:`AnomalyJob` answers one cell of that
 question: run a registered detector on the raw test split (ground
 truth), run the same detector on the decompressed test split, and score
 the detections against the truth with tolerance-matched F1 — plus the
-mean relative drift of the 42 series characteristics, reusing the
-feature registry, so detection degradation can be read against feature
-degradation in the same record.
+mean relative drift of the 42 series characteristics, so detection
+degradation can be read against feature degradation in the same record.
 
-The job rides the existing content-hashed task graph: its compression
-dependency is the very same ``CompressJob(part="test")`` the forecasting
-cells use, so a grid spanning both tasks compresses each (dataset,
-method, bound) cell exactly once.
+The job rides the existing content-hashed task graph: its dependencies
+are the very same ``CompressJob(part="test")`` the forecasting cells use
+and the ``FeatureJob`` of that cell, so a grid compresses each (dataset,
+method, bound) cell exactly once and computes its characteristics once,
+however many detectors score it.
 
 Module-level import rule: like :mod:`repro.runtime.jobs` this module is
 imported inside queue-backend worker processes when an ``AnomalyJob``
@@ -29,9 +29,11 @@ from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
-from repro.features.registry import compute_all, relative_difference
+# unused, but benchmarks/e2e/tracing.py wraps this module's compute_all
+from repro.features.registry import compute_all  # noqa: F401
 from repro.obs import trace as obs_trace
-from repro.runtime.jobs import RAW, CompressJob, JobSpec, RuntimeContext
+from repro.runtime.jobs import (RAW, CompressJob, FeatureJob, JobSpec,
+                                RuntimeContext)
 from repro.tasks.detectors import f1_score, match_detections
 from repro.tasks.detectors import make as make_detector
 
@@ -64,18 +66,13 @@ class AnomalyJob(JobSpec):
         return CompressJob(self.dataset, self.length, self.method,
                            self.error_bound, part="test")
 
+    def feature_job(self) -> FeatureJob:
+        return FeatureJob(self.dataset, self.length, self.method,
+                          self.error_bound)
+
     def dependencies(self) -> tuple[JobSpec, ...]:
         transform = self.transform_job()
-        return () if transform is None else (transform,)
-
-    def _feature_drift(self, ctx: RuntimeContext,
-                       values: np.ndarray) -> float:
-        """Mean |relative characteristic difference| vs the raw split."""
-        original = ctx.raw_test_features(self.dataset, self.length)
-        period = ctx.dataset(self.dataset, self.length).seasonal_period
-        deltas = relative_difference(original, compute_all(values, period))
-        finite = [abs(v) for v in deltas.values() if np.isfinite(v)]
-        return float(np.mean(finite)) if finite else 0.0
+        return () if transform is None else (transform, self.feature_job())
 
     def run(self, ctx: RuntimeContext, deps: dict[str, Any]
             ) -> "ScenarioRecord":
@@ -89,7 +86,10 @@ class AnomalyJob(JobSpec):
             drift = 0.0
         else:
             values = deps[transform.key()].decompressed.values
-            drift = self._feature_drift(ctx, values)
+            # mean |relative characteristic difference| vs the raw split
+            deltas = deps[self.feature_job().key()]
+            finite = [abs(v) for v in deltas.values() if np.isfinite(v)]
+            drift = float(np.mean(finite)) if finite else 0.0
         with obs_trace.span("anomaly.detect", model=self.model,
                             dataset=self.dataset, method=self.method,
                             error_bound=self.error_bound):

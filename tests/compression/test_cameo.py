@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.compression import Cameo, check_error_bound
 from repro.compression.cameo import ACF_WEIGHT
 from repro.datasets import TimeSeries
+from repro.reference import ReferenceCameo
 
 
 def series_of(values, interval=60):
@@ -70,8 +71,8 @@ def test_acf_closer_than_unconstrained_swing_at_coarse_bound():
 def test_kernel_and_scalar_payloads_are_byte_identical():
     series = series_of(noisy_series(seed=1))
     for eb in [0.01, 0.1, 0.4]:
-        kernel = Cameo(use_kernel=True).compress(series, eb)
-        scalar = Cameo(use_kernel=False).compress(series, eb)
+        kernel = Cameo().compress(series, eb)
+        scalar = ReferenceCameo().compress(series, eb)
         assert kernel.compressed == scalar.compressed
         assert np.array_equal(kernel.decompressed.values,
                               scalar.decompressed.values)
@@ -140,5 +141,5 @@ def test_property_bound_and_drift_hold(values, error_bound):
     budget = ACF_WEIGHT * error_bound * float(np.sum(np.abs(series.values)))
     assert drift <= budget + 1e-5 * max(1, len(values))
     assert np.array_equal(
-        Cameo(use_kernel=False).compress(series, error_bound).compressed,
+        ReferenceCameo().compress(series, error_bound).compressed,
         result.compressed)

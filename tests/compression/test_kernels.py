@@ -1,7 +1,7 @@
 """Kernel/scalar equivalence suite for the vectorized compressors.
 
-Every compressor with a vectorized fast path (``use_kernel=True``, the
-default) keeps its per-point scalar loop as the reference implementation.
+Every compressor runs on vectorized kernels; the per-point scalar loops
+they replaced live in ``repro.reference`` as the reference implementation.
 These tests pin the two to each other: identical segmentation, identical
 in-memory reconstruction, and — the strongest form — byte-identical
 serialized payloads, across the synthetic datasets, an error-bound sweep,
@@ -10,11 +10,17 @@ runs hitting ``MAX_SEGMENT_LENGTH``, single points, alternating signs,
 escape-heavy SZ blocks, exact zeros).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.compression import PMC, SZ, Swing
 from repro.compression.timestamps import MAX_SEGMENT_LENGTH
 from repro.datasets import TimeSeries, synthetic
@@ -30,8 +36,9 @@ def series_of(values, interval=60):
 
 
 def assert_paths_agree(compressor_class, series, error_bound):
-    kernel = compressor_class(use_kernel=True).compress(series, error_bound)
-    scalar = compressor_class(use_kernel=False).compress(series, error_bound)
+    kernel = compressor_class().compress(series, error_bound)
+    scalar = reference.make_compressor(compressor_class.name).compress(
+        series, error_bound)
     assert kernel.payload == scalar.payload
     assert kernel.num_segments == scalar.num_segments
     assert np.array_equal(kernel.decompressed.values,
@@ -137,3 +144,19 @@ def test_property_payloads_identical(values, error_bound):
     series = series_of(values)
     for compressor_class in COMPRESSORS:
         assert_paths_agree(compressor_class, series, error_bound)
+
+
+def test_production_entry_points_do_not_import_the_reference():
+    """The scalar loops stay out of every production import graph."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import repro.api, repro.cli, repro.compression\n"
+            "import repro.server.app\n"
+            "print('repro.reference' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

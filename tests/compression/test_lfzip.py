@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from repro.compression import LFZip, check_error_bound
 from repro.compression.lfzip import (DEFAULT_BLOCK_SIZE, INIT_WEIGHTS,
                                      block_step, decode_block,
-                                     encode_block_kernel,
-                                     encode_block_scalar, update_weights)
+                                     encode_block_kernel, update_weights)
 from repro.compression.streaming import (OnlineLFZip, reconstruct,
                                          restore_compressor,
                                          segment_from_wire, segment_to_wire,
                                          segments_payload)
 from repro.datasets import TimeSeries
+from repro.reference import ReferenceLFZip, lfzip_encode_block
 
 
 def series_of(values, interval=60):
@@ -38,8 +38,8 @@ def test_error_bound_is_respected_on_noisy_data():
 def test_kernel_and_scalar_payloads_are_byte_identical():
     series = series_of(noisy_series(seed=1))
     for eb in [0.01, 0.1, 0.4]:
-        kernel = LFZip(use_kernel=True).compress(series, eb)
-        scalar = LFZip(use_kernel=False).compress(series, eb)
+        kernel = LFZip().compress(series, eb)
+        scalar = ReferenceLFZip().compress(series, eb)
         assert kernel.compressed == scalar.compressed
         assert np.array_equal(kernel.decompressed.values,
                               scalar.decompressed.values)
@@ -50,7 +50,7 @@ def test_block_encoders_agree_symbol_for_symbol():
     block = 50 + rng.normal(0, 2, DEFAULT_BLOCK_SIZE).cumsum() * 0.05
     step = block_step(block, 0.1)
     tolerance = 0.1 * np.abs(block)
-    for encode in (encode_block_kernel, encode_block_scalar):
+    for encode in (encode_block_kernel, lfzip_encode_block):
         symbols, outliers, recon, t_values, escaped = encode(
             block, tolerance, step, 0.0, INIT_WEIGHTS)
         decoded, t_dec, esc_dec = decode_block(
@@ -60,7 +60,7 @@ def test_block_encoders_agree_symbol_for_symbol():
         assert np.array_equal(t_dec, t_values)
         assert np.array_equal(esc_dec, escaped)
     k = encode_block_kernel(block, tolerance, step, 0.0, INIT_WEIGHTS)
-    s = encode_block_scalar(block, tolerance, step, 0.0, INIT_WEIGHTS)
+    s = lfzip_encode_block(block, tolerance, step, 0.0, INIT_WEIGHTS)
     assert np.array_equal(np.asarray(k[0]), np.asarray(s[0]))
     assert list(k[1]) == list(s[1])
 
@@ -205,7 +205,7 @@ def test_property_bound_kernel_identity_and_stream_equivalence(
     series = series_of(values)
     result = LFZip().compress(series, error_bound)
     assert check_error_bound(series, result.decompressed, error_bound)
-    assert (LFZip(use_kernel=False).compress(series, error_bound).compressed
+    assert (ReferenceLFZip().compress(series, error_bound).compressed
             == result.compressed)
     encoder = OnlineLFZip(error_bound)
     encoder.extend(series.values)

@@ -71,7 +71,7 @@ def test_derived_tuples_are_registry_queries():
 
 
 def test_make_compressor_instantiates():
-    compressor = registry.make_compressor("CAMEO", use_kernel=False)
+    compressor = registry.make_compressor("CAMEO")
     assert compressor.name == "CAMEO"
 
 

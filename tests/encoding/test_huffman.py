@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.encoding import huffman
+from repro.reference import huffman_decode, huffman_encode
 
 
 def test_empty_stream_round_trips():
@@ -80,7 +81,7 @@ def test_decode_rejects_missing_table():
         huffman.decode(bogus)
 
 
-# --- table-driven kernel vs scalar BitWriter/BitReader equivalence
+# --- table-driven kernel vs the BitWriter/BitReader reference
 
 
 KERNEL_CASES = [
@@ -96,16 +97,15 @@ KERNEL_CASES = [
 @pytest.mark.parametrize("symbols", KERNEL_CASES,
                          ids=lambda s: f"n{len(s)}-max{max(s)}")
 def test_kernel_and_scalar_encode_are_byte_identical(symbols):
-    assert (huffman.encode(symbols, use_kernel=True)
-            == huffman.encode(symbols, use_kernel=False))
+    assert huffman.encode(symbols) == huffman_encode(symbols)
 
 
 @pytest.mark.parametrize("symbols", KERNEL_CASES,
                          ids=lambda s: f"n{len(s)}-max{max(s)}")
 def test_kernel_and_scalar_decode_agree(symbols):
     encoded = huffman.encode(symbols)
-    assert huffman.decode(encoded, use_kernel=True) == symbols
-    assert huffman.decode(encoded, use_kernel=False) == symbols
+    assert huffman.decode(encoded) == symbols
+    assert huffman_decode(encoded) == symbols
 
 
 def test_ndarray_input_encodes_identically():
@@ -113,13 +113,13 @@ def test_ndarray_input_encodes_identically():
 
     symbols = [0] * 50 + [1] * 20 + [9] * 3
     array = np.asarray(symbols, dtype=np.int64)
-    assert huffman.encode(array) == huffman.encode(symbols, use_kernel=False)
+    assert huffman.encode(array) == huffman_encode(symbols)
 
 
 def test_huge_symbols_fall_back_to_scalar_writer():
     symbols = [huffman._MAX_DENSE_SYMBOL + 10, 0, 0, 1]
-    encoded = huffman.encode(symbols, use_kernel=True)
-    assert encoded == huffman.encode(symbols, use_kernel=False)
+    encoded = huffman.encode(symbols)
+    assert encoded == huffman_encode(symbols)
     assert huffman.decode(encoded) == symbols
 
 
@@ -134,13 +134,13 @@ def test_long_codes_fall_back_to_scalar_reader():
     lengths = huffman.code_lengths(symbols)
     assert max(lengths.values()) > huffman._MAX_DENSE_BITS
     encoded = huffman.encode(symbols)
-    assert huffman.decode(encoded, use_kernel=True) == symbols
-    assert huffman.decode(encoded, use_kernel=False) == symbols
+    assert huffman.decode(encoded) == symbols
+    assert huffman_decode(encoded) == symbols
 
 
 @given(st.lists(st.integers(min_value=0, max_value=600), min_size=1,
                 max_size=400))
 def test_property_kernel_scalar_byte_identical(symbols):
-    kernel = huffman.encode(symbols, use_kernel=True)
-    assert kernel == huffman.encode(symbols, use_kernel=False)
-    assert huffman.decode(kernel, use_kernel=True) == symbols
+    kernel = huffman.encode(symbols)
+    assert kernel == huffman_encode(symbols)
+    assert huffman.decode(kernel) == symbols

@@ -13,7 +13,7 @@ import pytest
 from repro import registry
 from repro.api import ApiService, ForecastRequest, GridRequest
 from repro.core.config import EvaluationConfig
-from repro.runtime.jobs import RAW, CompressJob, RuntimeContext
+from repro.runtime.jobs import RAW, CompressJob, FeatureJob, RuntimeContext
 from repro.tasks.anomaly import DEFAULT_TOLERANCE, AnomalyJob
 from repro.tasks.detectors import MeanShiftDetector, make
 
@@ -65,17 +65,20 @@ def test_raw_job_scores_perfect_detection():
 def test_compressed_job_shares_the_forecasting_compress_dependency():
     job = AnomalyJob("MeanShift", "ETTm1", 1_200, method="PMC",
                      error_bound=0.1)
-    (dependency,) = job.dependencies()
-    assert dependency == CompressJob("ETTm1", 1_200, "PMC", 0.1, part="test")
+    compress, features = job.dependencies()
+    assert compress == CompressJob("ETTm1", 1_200, "PMC", 0.1, part="test")
+    assert features == FeatureJob("ETTm1", 1_200, "PMC", 0.1)
 
 
 def test_compressed_job_runs_on_the_decompressed_values():
     ctx = RuntimeContext()
     job = AnomalyJob("MeanShift", "ETTm1", 1_200, method="PMC",
                      error_bound=0.1)
-    (dependency,) = job.dependencies()
-    result = dependency.run(ctx, {})
-    record = job.run(ctx, {dependency.key(): result})
+    compress, features = job.dependencies()
+    compressed = compress.run(ctx, {})
+    deltas = features.run(ctx, {compress.key(): compressed})
+    record = job.run(ctx, {compress.key(): compressed,
+                           features.key(): deltas})
     assert record.task == "anomaly"
     assert record.method == "PMC"
     assert 0.0 <= record.metrics["F1"] <= 1.0
@@ -147,6 +150,29 @@ def test_grid_can_span_both_tasks_with_shared_compression(tmp_path):
         GridRequest(models=("MeanShift",), task="anomaly"))
     assert second.phase_executed.get("compress", 0) == 0, \
         "anomaly grid must reuse cached compressions"
+
+
+def test_detectors_share_one_feature_computation_per_cell(monkeypatch):
+    """Characteristics run once per compressed cell (plus once for the
+    raw split), not once per detector scoring that cell."""
+    import repro.runtime.jobs as jobs
+    import repro.tasks.anomaly as anomaly
+
+    calls = []
+    original = jobs.compute_all
+
+    def counting(values, period):
+        calls.append(len(values))
+        return original(values, period)
+
+    for module in (jobs, anomaly):
+        monkeypatch.setattr(module, "compute_all", counting)
+    methods = ("PMC", "SWING")
+    records, _ = ApiService(_config(compressors=methods)).grid(
+        GridRequest(models=("MeanShift", "ZScore"), task="anomaly"))
+    cells = len(methods)  # one bound per method
+    assert sum(r.method != RAW for r in records) == 2 * cells
+    assert len(calls) == cells + 1
 
 
 def test_retrained_anomaly_grid_is_rejected():
