@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import threading
 from typing import Any
 
@@ -213,6 +214,23 @@ def disable() -> None:
 
 def active() -> MetricsRegistry | None:
     return _registry
+
+
+def _reset_in_child() -> None:
+    """A forked child starts from an empty registry.
+
+    Pool and queue workers flush their registry into the trace after
+    every attempt; one inherited from the parent would write the
+    parent's unflushed counts again.  A fresh registry (rather than a
+    cleared one) also drops a lock another thread may have held at fork.
+    """
+    global _registry
+    if _registry is not None:
+        _registry = MetricsRegistry()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_in_child)
 
 
 def enabled() -> bool:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-import repro.obs as obs
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.backends import ExecutionBackend
@@ -130,7 +129,6 @@ class Scheduler:
                                          values, cached, manifest, poisoned)
         finally:
             manifest.wall_seconds = time.perf_counter() - start
-            obs.flush_metrics()
         return values
 
     # -- planning --------------------------------------------------------------

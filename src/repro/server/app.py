@@ -15,8 +15,8 @@ thread per connection, no new dependencies) exposing the typed API:
   :class:`~repro.runtime.manifest.RunManifest` dict, per-cell failure
   envelopes, and the completed records once done;
 - ``POST /v1/trace`` — renders a recorded run directory;
-- ``GET /v1/healthz`` / ``GET /v1/metricz`` — liveness and the merged
-  server metric totals (batch occupancy, queue waits, cache hit ratio);
+- ``GET /v1/healthz`` / ``GET /v1/metricz`` — liveness and the daemon
+  process's metric totals (batch occupancy, queue waits, cache probes);
 - ``POST /v1/stream`` + ``/v1/stream/{id}[/push|/close|/ingest]`` —
   live streaming sessions: per-session online compression + rolling
   forecasts, managed by the :class:`~repro.server.sessions.
@@ -31,10 +31,11 @@ thread per connection, no new dependencies) exposing the typed API:
 Every response body is a tagged API payload (or an
 :class:`~repro.api.errors.ErrorEnvelope` with a 4xx/5xx status), produced
 by the same codec the CLI and the façade use.  Every request runs inside
-a ``server.request`` span; the server always installs a trace sink — the
-configured ``trace_dir``'s JSONL file, or an in-memory list — so executor
-metric flushes are never lost and ``/v1/metricz`` can report exact run
-totals (the fixed-bucket histogram merge is associative).
+a ``server.request`` span, recorded in ``trace_dir``'s JSONL file when
+one is configured; without one, tracing is off.  ``/v1/metricz`` reads
+the daemon's live, cumulative metric registry.  Pool and queue workers
+write their own metric deltas to the trace file, not to that registry;
+the daemon writes its registry there at :meth:`ReproServer.stop`.
 
 The service degrades, it does not hang: with ``keep_going`` (the
 ``serve`` CLI default) a failing cell answers its own requests with a
@@ -58,7 +59,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import threading
 import urllib.parse
@@ -83,8 +83,7 @@ from repro.api.service import ApiService
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger
-from repro.obs.metrics import merge_snapshots
-from repro.obs.trace import WALL, JsonlSink, ListSink
+from repro.obs.trace import WALL
 from repro.runtime.manifest import JobError
 from repro.runtime.store import RunStore
 
@@ -113,60 +112,6 @@ _TERMINAL_STATES = ("done", "failed", "interrupted")
 
 #: sentinel payload: the route already wrote its own (streamed) response
 _STREAMED: Any = object()
-
-
-class _MetricsTail:
-    """Incremental metric-snapshot reader over an append-only trace sink.
-
-    Re-reading and re-parsing the whole trace JSONL on every
-    ``/v1/metricz`` scrape would cost O(file) per call, unbounded under
-    sustained traffic.  Flushed metric records are append-only, and the
-    histogram/counter merge is associative, so the fold over everything
-    already consumed is cached: each scrape seeks to a byte-offset
-    high-water mark, parses only whole new lines (a writer may be
-    mid-append; the partial tail is left for the next scrape), and folds
-    them into the running merge.  A truncated or replaced file (size
-    below the high-water mark) resets the cache and re-reads from the
-    start.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._offset = 0
-        self._list_index = 0
-        self._merged: dict | None = None
-
-    def totals(self, sink, registry) -> dict[str, Any]:
-        """Merged totals of every flushed snapshot plus the live registry."""
-        with self._lock:
-            fresh = self._read_new(sink)
-            if fresh:
-                consumed = ([self._merged] if self._merged else []) + fresh
-                self._merged = merge_snapshots(consumed)
-            snapshots = [self._merged] if self._merged else []
-            if registry is not None:
-                snapshots = snapshots + [registry.snapshot()]
-            return merge_snapshots(snapshots)
-
-    def _read_new(self, sink) -> list[dict]:
-        if isinstance(sink, ListSink):
-            records = sink.records[self._list_index:]
-            self._list_index += len(records)
-        elif isinstance(sink, JsonlSink) and os.path.exists(sink.path):
-            with open(sink.path, "rb") as stream:
-                stream.seek(0, os.SEEK_END)
-                if stream.tell() < self._offset:
-                    self._offset = 0
-                    self._merged = None
-                stream.seek(self._offset)
-                chunk = stream.read()
-            cut = chunk.rfind(b"\n") + 1
-            self._offset += cut
-            records = [json.loads(line) for line in chunk[:cut].splitlines()
-                       if line.strip()]
-        else:
-            return []
-        return [r for r in records if r.get("type") == "metrics"]
 
 
 @dataclass
@@ -205,8 +150,8 @@ class ReproServer:
         from repro.server.sessions import SessionManager
 
         # remember the ambient obs state so stop() can restore it — the
-        # service configures tracing when config.trace_dir is set, and the
-        # server needs a sink + metrics regardless
+        # service configures tracing when config.trace_dir is set, and
+        # start() enables metrics regardless
         self._prior_tracer = obs_trace.active()
         self._prior_registry = obs_metrics.active()
 
@@ -226,10 +171,10 @@ class ReproServer:
                       "interrupted: %s", len(interrupted),
                       ", ".join(interrupted))
         self._compress_batcher = MicroBatcher(
-            "compress", self._execute_compress, max_batch=max_batch,
+            "compress", self.service.compress_batch, max_batch=max_batch,
             max_wait_s=batch_window_s, max_queue=max_queue)
         self._forecast_batcher = MicroBatcher(
-            "forecast", self._execute_forecast, max_batch=max_batch,
+            "forecast", self.service.forecast_batch, max_batch=max_batch,
             max_wait_s=batch_window_s, max_queue=max_queue)
         #: admission control: /v1/grid submissions over this many live
         #: (pending/running) runs are shed with 429 + Retry-After
@@ -249,7 +194,6 @@ class ReproServer:
         self._session_sweep_s = max(0.1, float(session_sweep_s))
         self._runs: dict[str, _GridRun] = {}
         self._runs_lock = threading.Lock()
-        self._metrics_tail = _MetricsTail()
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self._started_at = WALL()
@@ -258,10 +202,6 @@ class ReproServer:
 
     def start(self) -> "ReproServer":
         """Bind, start serving on a background thread, return self."""
-        if obs_trace.active() is None:
-            # no trace_dir: an in-memory sink still captures spans and
-            # metric flushes for /v1/metricz
-            obs_trace.enable(ListSink(), run_id="serve")
         if obs_metrics.active() is None:
             obs_metrics.enable()
         self._httpd = _HttpServer((self.host, self.port),
@@ -301,24 +241,6 @@ class ReproServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    # -- batched executions ----------------------------------------------------
-
-    def _note_cache_ratio(self) -> None:
-        manifest = self.service.last_manifest
-        if manifest is not None and manifest.total:
-            obs_metrics.set_gauge("server.cache.hit_ratio",
-                                  manifest.cache_hit_rate)
-
-    def _execute_compress(self, requests: list[CompressRequest]):
-        responses = self.service.compress_batch(requests)
-        self._note_cache_ratio()
-        return responses
-
-    def _execute_forecast(self, requests: list[ForecastRequest]):
-        responses = self.service.forecast_batch(requests)
-        self._note_cache_ratio()
-        return responses
-
     # -- async grid runs -------------------------------------------------------
 
     def submit_grid(self, request: GridRequest) -> GridSubmitResponse:
@@ -339,7 +261,6 @@ class ReproServer:
                     f"{self.max_inflight_runs}); retry after backoff"),
                     status=429)
             self._runs[run_id] = run
-            obs_metrics.set_gauge("server.grid.inflight", inflight + 1)
         self.store.create(run_id, cells=run.cells, request=encode(request))
         # build the ack before starting the worker: the run may already be
         # "running" by the time this returns, but the submission itself is
@@ -359,24 +280,27 @@ class ReproServer:
                 self.service.grid_requests(run.request))
         except JobError as error:
             run.failures = (envelope_from_job_error(error),)
-            run.status = "failed"
+            status = "failed"
         except Exception as error:  # noqa: BLE001 — report, don't vanish
             run.failures = (ErrorEnvelope(kind="internal", key=run.run_id,
                                           message=repr(error)),)
-            run.status = "failed"
+            status = "failed"
         else:
             run.records = tuple(r for r in responses
                                 if isinstance(r, ForecastResponse))
             run.failures = tuple(r for r in responses
                                  if isinstance(r, ErrorEnvelope))
-            run.status = "done"
+            status = "done"
         manifest = self.service.last_manifest
         run.manifest = manifest.to_dict() if manifest is not None else None
-        self.store.finish(run.run_id, run.status, manifest=run.manifest,
+        self.store.finish(run.run_id, status, manifest=run.manifest,
                           failures=[encode(f) for f in run.failures],
                           records=[encode(r) for r in run.records])
-        self._note_cache_ratio()
-        self._evict_runs()
+        with self._runs_lock:
+            # one step under the lock: a poll that sees the terminal
+            # status also sees the eviction it triggers
+            run.status = status
+            self._evict_runs()
         run.done.set()
 
     def _evict_runs(self) -> None:
@@ -387,22 +311,22 @@ class ReproServer:
         forever.  Terminal runs beyond ``max_tracked_runs`` are evicted
         here (dict insertion order = submission order, so the oldest go
         first); their polls fall through to the durable :class:`RunStore`
-        in :meth:`run_status`.  Live runs are never evicted.
+        in :meth:`run_status`.  Live runs are never evicted.  The caller
+        holds ``_runs_lock``.
         """
-        with self._runs_lock:
-            terminal = [run_id for run_id, run in self._runs.items()
-                        if run.status in _TERMINAL_STATES]
-            overflow = len(terminal) - self.max_tracked_runs
-            if overflow > 0:
-                for run_id in terminal[:overflow]:
-                    del self._runs[run_id]
-                obs_metrics.inc("server.runs.evicted", overflow)
+        terminal = [run_id for run_id, run in self._runs.items()
+                    if run.status in _TERMINAL_STATES]
+        overflow = len(terminal) - self.max_tracked_runs
+        if overflow > 0:
+            for run_id in terminal[:overflow]:
+                del self._runs[run_id]
+            obs_metrics.inc("server.runs.evicted", overflow)
 
     def run_status(self, run_id: str) -> RunStatusResponse:
         with self._runs_lock:
             run = self._runs.get(run_id)
-        if run is not None:
-            return run.to_response()
+            if run is not None:
+                return run.to_response()
         # not in this process's memory: a run from a previous daemon
         # incarnation may still be answerable from the durable store
         stored = self.store.get(run_id)
@@ -421,19 +345,16 @@ class ReproServer:
     # -- metrics ---------------------------------------------------------------
 
     def metric_totals(self) -> dict[str, Any]:
-        """Exact merged metric totals since the server started.
+        """This process's metric totals: a snapshot of the live registry.
 
-        Scheduler runs flush metric deltas into the trace sink; merging
-        those flushed records with the registry's live snapshot counts
-        every increment exactly once (the fixed-bucket histogram merge is
-        associative, so the fold order is irrelevant).  The sink is read
-        incrementally — only lines past the cached byte-offset high-water
-        mark are parsed per scrape (see :class:`_MetricsTail`), so
-        ``/v1/metricz`` stays O(new data), not O(file).
+        The registry is cumulative while the daemon runs (nothing resets
+        it before :meth:`stop`), so each scrape costs O(metric names),
+        whatever the traffic so far.
         """
-        tracer = obs_trace.active()
-        sink = tracer.sink if tracer is not None else None
-        return self._metrics_tail.totals(sink, obs_metrics.active())
+        registry = obs_metrics.active()
+        if registry is None:
+            return {"counters": {}, "gauges": {}, "histograms": {}}
+        return registry.snapshot()
 
     def health(self) -> HealthResponse:
         with self._runs_lock:

@@ -34,7 +34,8 @@ The report carries:
   scheduled arrival), throughput, offered rate, and shed / timeout /
   error rates, totals per request kind;
 - server-side (scraped from ``/v1/metricz`` as before/after deltas):
-  batch occupancy (mean/max/p95), cache hit ratio, shed and request
+  batch occupancy (mean/max/p95), the cache hit ratio of the run's
+  job probes (``None`` when it probed nothing), shed and request
   counters;
 - an ``slo`` block of thresholds that :func:`check_serve_report` turns
   into regression messages — the ``--check`` exit-code gate CI runs.
@@ -375,14 +376,19 @@ def _server_stats(before: dict, after: dict) -> dict:
         "batch_occupancy_mean": None,
         "batch_occupancy_max": None,
         "batch_occupancy_p95": None,
-        "cache_hit_ratio": after.get("gauges", {}).get(
-            "server.cache.hit_ratio"),
+        "cache_hit_ratio": None,
         "stream_opened": _counter(after, "server.stream.opened")
         - _counter(before, "server.stream.opened"),
         "stream_segments": _counter(after, "server.stream.segments")
         - _counter(before, "server.stream.segments"),
         "stream_live": after.get("gauges", {}).get("server.stream.live"),
     }
+    hits = (_counter(after, "runtime.probe.hit")
+            - _counter(before, "runtime.probe.hit"))
+    probes = hits + (_counter(after, "runtime.probe.miss")
+                     - _counter(before, "runtime.probe.miss"))
+    if probes > 0:
+        stats["cache_hit_ratio"] = hits / probes
     if occupancy and occupancy["count"] > 0:
         stats["batches"] = occupancy["count"]
         stats["batch_occupancy_mean"] = round(

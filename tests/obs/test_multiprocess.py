@@ -129,6 +129,29 @@ def test_failed_and_retried_attempts_each_get_a_span(tmp_path, workers):
     assert merged["counters"]["runtime.retries"] == 1
 
 
+def test_pool_grid_counts_each_probe_once(tmp_path):
+    # forked workers start from an empty registry: none of them re-flushes
+    # the probe counts the parent had not yet written when the pool forked
+    from repro.api import GridRequest
+    from repro.api.service import ApiService
+    from repro.core.config import EvaluationConfig
+
+    config = EvaluationConfig(
+        datasets=("ETTm1",), models=("Arima",), compressors=("PMC", "SWING"),
+        error_bounds=(0.1,), dataset_length=1_200, input_length=48,
+        horizon=12, eval_stride=12, simple_seeds=1, cache_dir=None,
+        backend="pool", max_workers=2, trace_dir=str(tmp_path))
+    _, manifest = ApiService(config).grid(GridRequest())
+    obs.shutdown()
+
+    _, snapshots = read_trace(tmp_path / "trace.jsonl")
+    counters = merge_snapshots(snapshots)["counters"]
+    probes = (counters.get("runtime.probe.hit", 0)
+              + counters.get("runtime.probe.miss", 0))
+    assert manifest.total > 0
+    assert probes == manifest.total
+
+
 def test_state_ensure_round_trip_is_idempotent(tmp_path):
     assert obs.state() is None  # disabled -> nothing to propagate
     obs.ensure(None)  # and adopting nothing is a no-op

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.server.loadgen import (DEFAULT_MIX, ENDPOINTS, LoadgenConfig,
-                                  SloConfig, build_schedule,
+                                  SloConfig, _server_stats, build_schedule,
                                   check_serve_report, load_replay,
                                   run_loadgen, self_hosted,
                                   synthesized_pools)
@@ -167,6 +167,31 @@ def test_check_flags_an_empty_run():
     report["totals"]["sent"] = 0
     assert any("no requests" in failure
                for failure in check_serve_report(report))
+
+
+# -- server-side deltas --------------------------------------------------------
+
+
+def _metricz(hit, miss, requests):
+    return {"counters": {"runtime.probe.hit": hit,
+                         "runtime.probe.miss": miss,
+                         "server.requests": requests},
+            "gauges": {}, "histograms": {}}
+
+
+def test_server_stats_hit_ratio_is_the_runs_probe_delta():
+    # cumulative totals before the run must not leak into its ratio
+    stats = _server_stats(_metricz(hit=10, miss=30, requests=5),
+                          _metricz(hit=16, miss=32, requests=25))
+    assert stats["cache_hit_ratio"] == 6 / 8
+    assert stats["requests"] == 20
+
+
+def test_server_stats_hit_ratio_is_none_without_probes():
+    empty = {"counters": {}, "gauges": {}, "histograms": {}}
+    assert _server_stats(empty, empty)["cache_hit_ratio"] is None
+    same = _metricz(hit=3, miss=1, requests=4)
+    assert _server_stats(same, same)["cache_hit_ratio"] is None
 
 
 # -- the CLI -------------------------------------------------------------------

@@ -15,8 +15,10 @@ Covers the serving-layer guarantees:
   client timeout;
 - terminal grid runs are evicted from memory beyond the tracking window
   and keep answering their polls from the durable run store;
-- ``/v1/metricz`` parses the trace sink incrementally (byte-offset
-  high-water mark), not the whole file per scrape;
+- ``/v1/metricz`` reads the daemon's live registry: exact across
+  scrapes with or without ``trace_dir``, and a daemon without
+  ``trace_dir`` runs with tracing off;
+- a pool-backend daemon without ``trace_dir`` serves multi-job cells;
 - with ``trace_dir`` set, ``trace.jsonl`` holds one ``server.request``
   span per request served, and ``/v1/trace`` renders that directory.
 """
@@ -29,10 +31,11 @@ import time
 import pytest
 
 from repro.api import (API_VERSION, CompressRequest, CompressResponse,
-                       ErrorEnvelope, ForecastRequest, GridRequest,
-                       TraceRequest, encode)
+                       ErrorEnvelope, ForecastRequest, ForecastResponse,
+                       GridRequest, TraceRequest, encode)
 from repro.core.config import EvaluationConfig
-from repro.server.app import ReproServer, _MetricsTail
+from repro.obs import trace as obs_trace
+from repro.server.app import ReproServer
 from repro.server.client import ReproClient, ServerError
 
 
@@ -180,11 +183,19 @@ def test_empty_body_is_rejected(client):
 
 
 def test_metricz_counts_requests_and_cache_ratio(client):
-    client.compress(CompressRequest("ETTm1", "PMC", 0.1, part="full"))
-    totals = client.metricz()
-    assert totals["counters"]["server.requests"] >= 2
-    assert "server.cache.hit_ratio" in totals["gauges"]
-    assert totals["counters"].get("server.status.200", 0) >= 1
+    request = CompressRequest("ETTm1", "PMC", 0.1, part="full")
+    client.compress(request)
+    cold = client.metricz()["counters"]
+    client.compress(request)
+    warm = client.metricz()["counters"]
+    assert cold["server.requests"] >= 2
+    assert cold.get("server.status.200", 0) >= 1
+    # the cache ratio is read from the scheduler's probe counters: the
+    # cold request missed, its repeat hit the cache and executed nothing
+    assert cold["runtime.probe.miss"] >= 1
+    assert warm["runtime.probe.miss"] == cold["runtime.probe.miss"]
+    assert (warm.get("runtime.probe.hit", 0)
+            > cold.get("runtime.probe.hit", 0))
 
 
 def test_trace_dir_holds_one_request_span_per_served_request(tmp_path):
@@ -305,72 +316,7 @@ def test_terminal_runs_evict_to_the_store():
         assert excinfo.value.status == 404
 
 
-# -- incremental /v1/metricz ---------------------------------------------------
-
-
-def _metric_line(counter, amount):
-    return json.dumps({"type": "metrics",
-                       "counters": {counter: amount},
-                       "gauges": {}, "histograms": {}})
-
-
-def test_metrics_tail_reads_only_new_bytes(tmp_path):
-    from repro.obs.trace import JsonlSink
-
-    sink = JsonlSink(str(tmp_path / "trace.jsonl"))
-    tail = _MetricsTail()
-    with open(sink.path, "w", encoding="utf-8") as stream:
-        stream.write(_metric_line("jobs", 2) + "\n")
-        stream.write(json.dumps({"type": "span", "name": "x"}) + "\n")
-    totals = tail.totals(sink, None)
-    assert totals["counters"] == {"jobs": 2}
-    offset_after_first = tail._offset
-    assert offset_after_first > 0
-
-    # appending advances the high-water mark; prior bytes are not re-read
-    with open(sink.path, "a", encoding="utf-8") as stream:
-        stream.write(_metric_line("jobs", 3) + "\n")
-    totals = tail.totals(sink, None)
-    assert totals["counters"] == {"jobs": 5}
-    assert tail._offset > offset_after_first
-
-    # a scrape with nothing new consumes nothing and repeats the fold
-    offset = tail._offset
-    assert tail.totals(sink, None)["counters"] == {"jobs": 5}
-    assert tail._offset == offset
-
-
-def test_metrics_tail_leaves_partial_lines_for_the_next_scrape(tmp_path):
-    from repro.obs.trace import JsonlSink
-
-    sink = JsonlSink(str(tmp_path / "trace.jsonl"))
-    tail = _MetricsTail()
-    complete = _metric_line("jobs", 1) + "\n"
-    partial = _metric_line("jobs", 10)
-    with open(sink.path, "w", encoding="utf-8") as stream:
-        stream.write(complete + partial[:10])  # a writer mid-append
-    totals = tail.totals(sink, None)
-    assert totals["counters"] == {"jobs": 1}
-    assert tail._offset == len(complete.encode())
-    # the append completes; only then is the line consumed
-    with open(sink.path, "a", encoding="utf-8") as stream:
-        stream.write(partial[10:] + "\n")
-    assert tail.totals(sink, None)["counters"] == {"jobs": 11}
-
-
-def test_metrics_tail_resets_on_truncation(tmp_path):
-    from repro.obs.trace import JsonlSink
-
-    sink = JsonlSink(str(tmp_path / "trace.jsonl"))
-    tail = _MetricsTail()
-    with open(sink.path, "w", encoding="utf-8") as stream:
-        stream.write(_metric_line("jobs", 7) + "\n")
-        stream.write(_metric_line("jobs", 5) + "\n")
-    assert tail.totals(sink, None)["counters"] == {"jobs": 12}
-    # the file is replaced with a shorter one: cache resets, no stale fold
-    with open(sink.path, "w", encoding="utf-8") as stream:
-        stream.write(_metric_line("jobs", 1) + "\n")
-    assert tail.totals(sink, None)["counters"] == {"jobs": 1}
+# -- /v1/metricz reads the live registry ---------------------------------------
 
 
 def test_metricz_is_exact_across_incremental_scrapes(client):
@@ -383,3 +329,46 @@ def test_metricz_is_exact_across_incremental_scrapes(client):
               for totals in (first, second, third)]
     # monotone and counting every request exactly once across scrapes
     assert counts[0] < counts[1] < counts[2]
+
+
+def test_metricz_is_exact_across_scrapes_with_trace_dir(tmp_path):
+    # the path where each scheduler run used to flush (and reset) the
+    # registry into the trace file between scrapes
+    with ReproServer(_config(trace_dir=str(tmp_path)), port=0,
+                     batch_window_s=0.0) as server:
+        client = ReproClient(port=server.port)
+        request = CompressRequest("ETTm1", "PMC", 0.1, part="full")
+        scrapes = [client.metricz()]
+        for _ in range(2):
+            client.compress(request)
+            scrapes.append(client.metricz())
+    counts = [totals["counters"]["server.requests"] for totals in scrapes]
+    # each step adds one compress request and the scrape itself
+    assert [b - a for a, b in zip(counts, counts[1:])] == [2, 2]
+    probes = [totals["counters"].get("runtime.probe.hit", 0)
+              + totals["counters"].get("runtime.probe.miss", 0)
+              for totals in scrapes]
+    assert probes[0] < probes[1] < probes[2]
+
+
+def test_untraced_daemon_counts_every_request_without_a_tracer():
+    with ReproServer(_config(), port=0) as server:
+        # no trace_dir: spans are the shared no-op, nothing is retained
+        assert obs_trace.active() is None
+        client = ReproClient(port=server.port)
+        before = client.metricz()["counters"]["server.requests"]
+        served = 5
+        for _ in range(served):
+            client.healthz()
+        after = client.metricz()["counters"]["server.requests"]
+    # the served requests plus the second scrape, each counted once
+    assert after - before == served + 1
+
+
+def test_pool_daemon_without_trace_dir_serves_forecasts():
+    config = _config(models=("Arima",), backend="pool", max_workers=2)
+    with ReproServer(config, port=0) as server:
+        client = ReproClient(port=server.port)
+        response = client.forecast(ForecastRequest(
+            "Arima", "ETTm1", method="PMC", error_bound=0.05, length=1_200))
+    assert isinstance(response, ForecastResponse)
