@@ -1,15 +1,15 @@
 """Layer-by-layer micro-benchmarks for the forecasting kernels.
 
-``repro-eval bench --suite forecasting`` measures end-to-end fit/predict,
-whose ratios mix the fused graph, the flat-buffer Adam, and fixed setup
-(scaling, windowing, network init).  This harness isolates the layers:
+``repro-eval bench --suite forecasting`` measures end-to-end fit/predict
+(ARIMA and the cache included), whose ratios mix the fused graph, the
+flat-buffer Adam, and fixed setup (scaling, windowing, network init).
+This harness isolates the deep-model layers:
 
 - one training step (forward + loss + backward + optimizer) per deep
-  model, kernel vs reference, on a fixed batch,
+  model, the registered model vs its ``repro.reference`` twin, on a
+  fixed batch,
 - the Adam update alone (fused flat-buffer chain vs per-parameter loop)
-  at several parameter counts,
-- one ARIMA candidate-order sweep, shared-work kernel vs per-order loop,
-- DiskCache put / cold zero-copy get / memory get for a large array value.
+  at several parameter counts.
 
 Run directly::
 
@@ -20,25 +20,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
-import time
 
 import numpy as np
 
-
-def best_of(function, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
+from repro.bench import best_of
 
 
 def bench_train_step(repeats: int) -> None:
-    from repro.forecasting.dlinear import DLinearForecaster
-    from repro.forecasting.gru import GRUForecaster
-    from repro.forecasting.nbeats import NBeatsForecaster
+    from repro import reference
+    from repro.forecasting import make
     from repro.forecasting.nn import kernels
     from repro.forecasting.nn.optim import Adam
     from repro.forecasting.nn.tensor import mse_loss
@@ -46,31 +36,25 @@ def bench_train_step(repeats: int) -> None:
     rng = np.random.default_rng(0)
     batch = rng.standard_normal((32, 96))
     target = rng.standard_normal((32, 24))
-    for factory in (lambda: DLinearForecaster(),
-                    lambda: GRUForecaster(),
-                    lambda: NBeatsForecaster()):
-        for flag in (False, True):
-            model = factory()
-            model.use_kernel = flag
+    for name in ("DLinear", "GRU", "NBeats"):
+        for label, model, fused in (
+                ("scalar", reference.make_forecaster(name), False),
+                ("kernel", make(name), True)):
             network = model.build_network(np.random.default_rng(0))
             model._network = network
             optimizer = Adam(network.parameters())
 
             def step():
-                with kernels.use(flag):
+                with kernels.use(fused):
                     optimizer.zero_grad()
-                    x = (model.prepare_windows(batch) if flag else batch)
-                    forward = (model.forward_prepared if flag
-                               else model.forward)
-                    prediction = forward(x)
+                    prediction = model.forward(model.prepare_windows(batch))
                     loss = (kernels.fused_mse_loss(prediction, target)
-                            if flag else mse_loss(prediction, target))
+                            if fused else mse_loss(prediction, target))
                     loss.backward()
                     optimizer.step()
 
             seconds = best_of(step, repeats)
-            label = "kernel" if flag else "scalar"
-            print(f"{model.name:8s} step {label:6s} {seconds * 1e6:9.1f}us")
+            print(f"{name:8s} step {label:6s} {seconds * 1e6:9.1f}us")
 
 
 def bench_adam(repeats: int) -> None:
@@ -97,50 +81,12 @@ def bench_adam(repeats: int) -> None:
                   f"{seconds * 1e6:9.1f}us")
 
 
-def bench_arima(length: int, repeats: int) -> None:
-    from repro.datasets import synthetic
-    from repro.forecasting.arima import ArimaForecaster
-
-    values = synthetic.ettm1(length=length).target_series.values
-    train, rest = values[:int(length * 0.8)], values[int(length * 0.8):]
-    for flag in (False, True):
-        forecaster = ArimaForecaster(seasonal_period=96, use_kernel=flag)
-        seconds = best_of(lambda: forecaster.fit(train, rest), repeats)
-        label = "kernel" if flag else "scalar"
-        print(f"arima fit n={length} {label} {seconds * 1e3:8.2f}ms")
-
-
-def bench_cache(length: int, repeats: int) -> None:
-    from repro.compression.base import CompressionResult
-    from repro.core.cache import DiskCache
-    from repro.datasets.timeseries import TimeSeries
-
-    series = TimeSeries(np.random.default_rng(0).standard_normal(length))
-    value = CompressionResult("PERF", 0.1, series, series, b"", b"", 1)
-    with tempfile.TemporaryDirectory() as directory:
-        cache = DiskCache(directory)
-        put_s = best_of(lambda: cache.put("k", value), repeats)
-        cold = float("inf")
-        for _ in range(max(1, repeats)):
-            cache.clear_memory()
-            start = time.perf_counter()
-            cache.get("k")
-            cold = min(cold, time.perf_counter() - start)
-        warm_s = best_of(lambda: cache.get("k"), repeats)
-    print(f"cache n={length}: put {put_s * 1e3:.2f}ms  "
-          f"cold get {cold * 1e3:.3f}ms  memory get {warm_s * 1e6:.1f}us")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--arima-length", type=int, default=6000)
-    parser.add_argument("--cache-length", type=int, default=200_000)
     args = parser.parse_args(argv)
     bench_train_step(args.repeats)
     bench_adam(args.repeats)
-    bench_arima(args.arima_length, args.repeats)
-    bench_cache(args.cache_length, args.repeats)
     return 0
 
 

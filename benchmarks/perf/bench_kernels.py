@@ -23,18 +23,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
-
-def best_of(function, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return best
+from repro.bench import best_of
 
 
 def _row(label: str, kernel_s: float, scalar_s: float) -> None:

@@ -23,10 +23,11 @@ baselines:
   ``bench-smoke`` job) use as an exit-code gate.
 - :func:`run_forecasting_bench` does the same for the forecasting hot
   path (``--suite forecasting`` → ``BENCH_forecasting.json``): per-model
-  fit/predict timings with kernels on vs off, byte-identity of the
-  produced forecasts, and DiskCache put / cold zero-copy get / memory-hit
-  timings, gated by :func:`check_forecasting_report` against the honest
-  per-model floors in :data:`FORECASTING_SPEEDUP_FLOORS` (DESIGN.md §15).
+  fit/predict timings of each model against its ``repro.reference``
+  twin, byte-identity of the produced forecasts, and DiskCache put /
+  cold zero-copy get / memory-hit timings, gated by
+  :func:`check_forecasting_report` against the honest per-model floors
+  in :data:`FORECASTING_SPEEDUP_FLOORS` (DESIGN.md §15).
 
 Timings use the observability span clock (``repro.obs.trace.WALL``, i.e.
 ``time.perf_counter``) and keep the *minimum* over ``repeats`` runs:
@@ -349,28 +350,20 @@ class ForecastingBenchConfig:
 
 
 def _forecaster_pair(model: str, config: ForecastingBenchConfig):
-    """Kernel and scalar-reference instances of ``model`` for the bench."""
-    from repro.forecasting.arima import ArimaForecaster
-    from repro.forecasting.dlinear import DLinearForecaster
-    from repro.forecasting.gru import GRUForecaster
-    from repro.forecasting.informer import InformerForecaster
-    from repro.forecasting.nbeats import NBeatsForecaster
-    from repro.forecasting.transformer import TransformerForecaster
+    """Production and ``repro.reference`` instances of ``model``."""
+    from repro import reference
+    from repro.forecasting.registry import make
 
     if model == "Arima":
-        return (ArimaForecaster(seasonal_period=96, use_kernel=True),
-                ArimaForecaster(seasonal_period=96, use_kernel=False))
-    classes = {"DLinear": DLinearForecaster, "GRU": GRUForecaster,
-               "NBeats": NBeatsForecaster, "Transformer": TransformerForecaster,
-               "Informer": InformerForecaster}
-    cls = classes[model]
-    # The cheap models get proportionally more epochs (mirroring their
-    # larger production budgets, e.g. DLinear defaults to 40 epochs vs 15)
-    # so one-time setup — scaling, windowing, network init — does not
-    # drown the per-step time the kernels actually change.
-    epochs = config.epochs * (4 if model in ("DLinear", "NBeats") else 1)
-    return (cls(epochs=epochs, use_kernel=True),
-            cls(epochs=epochs, use_kernel=False))
+        kwargs = {"seasonal_period": 96}
+    else:
+        # The cheap models get proportionally more epochs (mirroring their
+        # larger production budgets, e.g. DLinear defaults to 40 epochs vs
+        # 15) so one-time setup — scaling, windowing, network init — does
+        # not drown the per-step time the kernels actually change.
+        kwargs = {"epochs": config.epochs
+                  * (4 if model in ("DLinear", "NBeats") else 1)}
+    return make(model, **kwargs), reference.make_forecaster(model, **kwargs)
 
 
 def _forecast_fixture(length: int) -> tuple:
@@ -400,13 +393,13 @@ def bench_forecaster(model: str, config: ForecastingBenchConfig) -> dict:
     train, rest, windows, positions = _forecast_fixture(length)
     outputs = {}
     timings = {}
-    for use_kernel, forecaster in zip((True, False),
-                                      _forecaster_pair(model, config)):
-        timings[(use_kernel, "fit")] = best_of(
+    for kernel, forecaster in zip((True, False),
+                                  _forecaster_pair(model, config)):
+        timings[(kernel, "fit")] = best_of(
             lambda f=forecaster: f.fit(train, rest), config.repeats)
-        timings[(use_kernel, "predict")] = best_of(
+        timings[(kernel, "predict")] = best_of(
             lambda f=forecaster: f.predict(windows, positions), config.repeats)
-        outputs[use_kernel] = (
+        outputs[kernel] = (
             forecaster.predict(windows, positions).tobytes(),
             getattr(forecaster, "validation_history", None))
     fit_kernel = timings[(True, "fit")]

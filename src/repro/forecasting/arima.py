@@ -73,62 +73,21 @@ def _stage1_innovations(w: np.ndarray, long_lag: int) -> np.ndarray:
     return innovations
 
 
-def _fit_order(w: np.ndarray, positions: np.ndarray, order: tuple[int, int, int],
-               period: int, terms: int) -> _FittedArima | None:
-    p, d, q = order
-    burn = max(p, q, 1)
-    n = len(w)
-    if n <= burn + 2 * (p + q + 2 * terms + 1):
-        return None
-    # Stage 1: long AR to estimate innovations.
-    if q > 0:
-        long_lag = max(10, p + q + 3)
-        if n <= long_lag + 5:
-            return None
-        innovations = _stage1_innovations(w, long_lag)
-    else:
-        innovations = np.zeros(n)
-    # Stage 2: joint regression with AR lags, MA lags, and Fourier columns.
-    start = max(p, q, 10 if q else p)
-    target = w[start:]
-    design = [np.ones(len(target))]
-    design += [w[start - i:n - i] for i in range(1, p + 1)]
-    design += [innovations[start - j:n - j] for j in range(1, q + 1)]
-    fourier = _fourier_design(positions[start:], period, terms)
-    columns = np.column_stack(design + ([fourier] if terms else []))
-    coefficients, *_ = np.linalg.lstsq(columns, target, rcond=None)
-    residuals = target - columns @ coefficients
-    sigma2 = float(np.mean(residuals ** 2))
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        return None
-    k = columns.shape[1] + 1  # + variance
-    aic = len(target) * np.log(sigma2) + 2 * k
-    ar = coefficients[1:1 + p]
-    if not _is_stationary(ar):
-        # Explosive AR recursions diverge over the forecast horizon; such
-        # fits can appear on heavily-decompressed (piecewise-constant)
-        # training data and are rejected like statsmodels does.
-        return None
-    ma = coefficients[1 + p:1 + p + q]
-    fourier_coefficients = coefficients[1 + p + q:]
-    return _FittedArima(order, float(coefficients[0]), ar, ma,
-                        fourier_coefficients, sigma2, float(aic))
-
-
 def _fit_order_shared(w: np.ndarray, order: tuple[int, int, int],
                       innovations: np.ndarray | None,
                       fourier_full: np.ndarray, terms: int
                       ) -> tuple[float, np.ndarray, float] | None:
     """Stage-2 regression for one order over precomputed shared inputs.
 
-    The kernel fit path evaluates every candidate order against work shared
-    across orders: the differenced series ``w``, the stage-1 innovation
-    estimates (identical for every order with the same ``(d, long_lag)``
-    because the long autoregression ignores ``p`` and ``q``), and the full
-    Fourier design over all of ``positions`` — sliced per order instead of
-    recomputed, which is byte-identical because the angle arithmetic is
-    elementwise and ``np.sin``/``np.cos`` are value-deterministic (pinned by
-    the equivalence tests).  Stationarity is NOT checked here; the caller
+    :meth:`ArimaForecaster._select_order` evaluates every candidate order
+    against work shared across orders: the differenced series ``w``, the
+    stage-1 innovation estimates (identical for every order with the same
+    ``(d, long_lag)`` because the long autoregression ignores ``p`` and
+    ``q``), and the full Fourier design over all of ``positions`` — sliced
+    per order instead of recomputed, which is byte-identical to the
+    per-order reference because the angle arithmetic is elementwise and
+    ``np.sin``/``np.cos`` are value-deterministic (pinned by the
+    equivalence tests).  Stationarity is NOT checked here; the caller
     defers it so ``np.roots`` runs only on candidates that could actually
     win selection.  Returns ``(aic, coefficients, sigma2)`` or None.
     """
@@ -161,16 +120,13 @@ class ArimaForecaster(Forecaster):
     def __init__(self, input_length: int = 96, horizon: int = 24,
                  seed: int = 0, seasonal_period: int = 0,
                  fourier_terms: int = 2,
-                 orders: tuple[tuple[int, int, int], ...] = _DEFAULT_ORDERS,
-                 use_kernel: bool = True) -> None:
+                 orders: tuple[tuple[int, int, int], ...] = _DEFAULT_ORDERS
+                 ) -> None:
         super().__init__(input_length, horizon, seed)
         self.seasonal_period = int(seasonal_period)
         # Fourier terms only make sense with a usable period.
         self.fourier_terms = fourier_terms if 1 < self.seasonal_period <= 4096 else 0
         self.orders = orders
-        #: share per-d work across candidate orders and vectorize the predict
-        #: filter (byte-identical to the scalar reference; see test_kernels)
-        self.use_kernel = use_kernel
         self._model: _FittedArima | None = None
 
     def fit(self, train: np.ndarray, validation: np.ndarray) -> None:
@@ -179,33 +135,21 @@ class ArimaForecaster(Forecaster):
         value_range = float(np.ptp(train)) or 1.0
         self._clip = (float(train.min()) - 2.0 * value_range,
                       float(train.max()) + 2.0 * value_range)
-        best = (self._fit_kernel(train) if self.use_kernel
-                else self._fit_reference(train))
+        best = self._select_order(train)
         if best is None:
             raise ValueError("Arima: training series too short for any order")
         self._model = best
         self._fitted = True
 
-    def _fit_reference(self, train: np.ndarray) -> _FittedArima | None:
-        best: _FittedArima | None = None
-        for order in self.orders:
-            d = order[1]
-            w = np.diff(train, d) if d else train
-            positions = np.arange(d, len(train), dtype=np.float64)
-            fitted = _fit_order(w, positions, order, max(self.seasonal_period, 1),
-                                self.fourier_terms)
-            if fitted is not None and (best is None or fitted.aic < best.aic):
-                best = fitted
-        return best
-
-    def _fit_kernel(self, train: np.ndarray) -> _FittedArima | None:
+    def _select_order(self, train: np.ndarray) -> _FittedArima | None:
         """Candidate-order sweep with per-d work shared across orders.
 
-        The reference loop redoes, for every order: the differencing, the
-        stage-1 long autoregression, and the Fourier design.  All three
-        depend only on ``d`` (the long AR also on ``long_lag``, which is
-        constant for small ``p + q``), so they are computed once per key
-        here and reused — the exact same arrays flow into the exact same
+        The per-order reference loop (``repro.reference.ReferenceArima``)
+        redoes, for every order: the differencing, the stage-1 long
+        autoregression, and the Fourier design.  All three depend only on
+        ``d`` (the long AR also on ``long_lag``, which is constant for
+        small ``p + q``), so they are computed once per key here and
+        reused — the exact same arrays flow into the exact same
         stage-2 calls, so every candidate's coefficients and AIC are
         byte-identical to the reference.  The stationarity check is
         deferred: candidates are sorted by ``(aic, submission index)`` and
@@ -259,6 +203,34 @@ class ArimaForecaster(Forecaster):
         self._check_fitted()
         return self._model.order
 
+    def _innovations(self, model: _FittedArima, differenced: np.ndarray,
+                     base: np.ndarray) -> np.ndarray:
+        """In-window CSS innovations of ``differenced`` (B, m).
+
+        ``base`` holds each tick's deterministic part (constant plus
+        Fourier terms).  The AR part of the filter has no recurrence (it
+        only reads the observed ``differenced``), so it vectorizes across
+        t.  Each element still sees the scalar recursion's exact addition
+        order: base, then AR terms in lag order, then MA terms in lag order.
+        """
+        p, _, q = model.order
+        batch, m = differenced.shape
+        innovations = np.zeros((batch, m))
+        start = max(p, q)
+        if m > start:
+            partial = base[:, start:].copy()
+            for i in range(1, p + 1):
+                partial += model.ar[i - 1] * differenced[:, start - i:m - i]
+            if q == 0:
+                innovations[:, start:] = differenced[:, start:] - partial
+            else:
+                for t in range(start, m):
+                    prediction = partial[:, t - start].copy()
+                    for j in range(1, q + 1):
+                        prediction += model.ma[j - 1] * innovations[:, t - j]
+                    innovations[:, t] = differenced[:, t] - prediction
+        return innovations
+
     def predict(self, windows: np.ndarray,
                 positions: np.ndarray | None = None) -> np.ndarray:
         """Re-anchor the fitted recursion on each window and forecast."""
@@ -283,33 +255,8 @@ class ArimaForecaster(Forecaster):
 
         # In-window innovations: filter the recursion over the window.
         ticks = positions[:, None] + d + np.arange(m)[None, :]
-        base = deterministic(ticks)
-        innovations = np.zeros((batch, m))
-        start = max(p, q)
-        if self.use_kernel and m > start:
-            # The AR part of the filter has no recurrence (it only reads the
-            # observed ``differenced``), so it vectorizes across t.  Each
-            # element still sees the reference's exact addition order:
-            # base, then AR terms in lag order, then MA terms in lag order.
-            partial = base[:, start:].copy()
-            for i in range(1, p + 1):
-                partial += model.ar[i - 1] * differenced[:, start - i:m - i]
-            if q == 0:
-                innovations[:, start:] = differenced[:, start:] - partial
-            else:
-                for t in range(start, m):
-                    prediction = partial[:, t - start].copy()
-                    for j in range(1, q + 1):
-                        prediction += model.ma[j - 1] * innovations[:, t - j]
-                    innovations[:, t] = differenced[:, t] - prediction
-        else:
-            for t in range(start, m):
-                prediction = base[:, t].copy()
-                for i in range(1, p + 1):
-                    prediction += model.ar[i - 1] * differenced[:, t - i]
-                for j in range(1, q + 1):
-                    prediction += model.ma[j - 1] * innovations[:, t - j]
-                innovations[:, t] = differenced[:, t] - prediction
+        innovations = self._innovations(model, differenced,
+                                        deterministic(ticks))
 
         # Recursive h-step forecast with future innovations set to zero.
         history = np.concatenate([differenced, np.zeros((batch, self.horizon))],

@@ -4,6 +4,10 @@ All five deep models (DLinear, GRU, NBeats, Transformer, Informer) follow
 the same recipe from Section 3.4: standard-scale using training statistics,
 build sliding windows, train with Adam + early stopping (patience 3), and
 predict in batches.  Subclasses only provide the network itself.
+
+Training and prediction run on the fused kernels of
+:mod:`repro.forecasting.nn.kernels`, the engine's default on every thread.
+The unfused reference twin of each model lives in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from abc import abstractmethod
 import numpy as np
 
 from repro.forecasting.base import Forecaster
-from repro.forecasting.nn import kernels
 from repro.forecasting.nn.layers import Module
 from repro.forecasting.nn.tensor import Tensor
 from repro.forecasting.nn.train import fit_model, predict_in_batches
@@ -28,12 +31,8 @@ class DeepForecaster(Forecaster):
                  epochs: int = 15, batch_size: int = 32,
                  max_train_windows: int = 1500,
                  max_validation_windows: int = 400,
-                 learning_rate: float = 3e-3, patience: int = 6,
-                 use_kernel: bool = True) -> None:
+                 learning_rate: float = 3e-3, patience: int = 6) -> None:
         super().__init__(input_length, horizon, seed)
-        #: route forward/backward through the fused kernels (byte-identical
-        #: to the reference graph; see nn/kernels.py and the equivalence tests)
-        self.use_kernel = use_kernel
         self.epochs = epochs
         self.batch_size = batch_size
         self.max_train_windows = max_train_windows
@@ -53,20 +52,17 @@ class DeepForecaster(Forecaster):
 
     @abstractmethod
     def forward(self, batch: np.ndarray) -> Tensor:
-        """Run the network on a scaled batch of shape (B, input_length)."""
+        """Run the network on a batch of :meth:`prepare_windows` rows."""
 
     def prepare_windows(self, x: np.ndarray) -> np.ndarray:
-        """Kernel-path hook: precompute per-window features once.
+        """Precompute per-window features once, before batching.
 
-        Must be row-independent (row i of the output depends only on row i
-        of the input) so that batching over prepared rows stays
-        byte-identical to preparing each batch on the fly.
+        ``x`` holds scaled windows of shape (B, input_length).  Must be
+        row-independent (row i of the output depends only on row i of the
+        input) so that batching over prepared rows stays byte-identical to
+        preparing each batch on the fly.
         """
         return x
-
-    def forward_prepared(self, batch: np.ndarray) -> Tensor:
-        """Forward on rows produced by :meth:`prepare_windows`."""
-        return self.forward(batch)
 
     def fit(self, train: np.ndarray, validation: np.ndarray) -> None:
         rng = np.random.default_rng(self.seed)
@@ -103,16 +99,11 @@ class DeepForecaster(Forecaster):
         x_val, y_val = subsample_windows(x_val, y_val,
                                          self.max_validation_windows, rng)
         self._network = self.build_network(rng)
-        with kernels.use(self.use_kernel):
-            if self.use_kernel:
-                x, x_val = self.prepare_windows(x), self.prepare_windows(x_val)
-                forward = self.forward_prepared
-            else:
-                forward = self.forward
-            self.validation_history = fit_model(
-                self._network, forward, x, y, x_val, y_val, rng,
-                epochs=self.epochs, batch_size=self.batch_size,
-                patience=self.patience, learning_rate=self.learning_rate)
+        self.validation_history = fit_model(
+            self._network, self.forward, self.prepare_windows(x), y,
+            self.prepare_windows(x_val), y_val, rng,
+            epochs=self.epochs, batch_size=self.batch_size,
+            patience=self.patience, learning_rate=self.learning_rate)
         self._fitted = True
 
     def predict(self, windows: np.ndarray,
@@ -120,12 +111,6 @@ class DeepForecaster(Forecaster):
         self._check_fitted()
         windows = self._check_windows(windows)
         scaled = self._scaler.transform(windows)
-        with kernels.use(self.use_kernel):
-            if self.use_kernel:
-                outputs = predict_in_batches(
-                    self.forward_prepared, self._network,
-                    self.prepare_windows(scaled))
-            else:
-                outputs = predict_in_batches(self.forward, self._network,
-                                             scaled)
+        outputs = predict_in_batches(self.forward, self._network,
+                                     self.prepare_windows(scaled))
         return self._scaler.inverse_transform(outputs)

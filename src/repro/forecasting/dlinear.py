@@ -72,10 +72,6 @@ class DLinearForecaster(DeepForecaster):
     def build_network(self, rng: np.random.Generator) -> Module:
         return _DLinearNetwork(self.input_length, self.horizon, rng)
 
-    def forward(self, batch: np.ndarray) -> Tensor:
-        trend, remainder = moving_average_split(batch, self.kernel)
-        return self._network.forward(Tensor(trend), Tensor(remainder))
-
     def prepare_windows(self, x: np.ndarray) -> np.ndarray:
         # The split is row-independent, so decomposing the whole window set
         # once and slicing per batch is byte-identical to splitting each
@@ -84,7 +80,8 @@ class DLinearForecaster(DeepForecaster):
         trend, remainder = moving_average_split(x, self.kernel)
         return np.concatenate([trend, remainder], axis=1)
 
-    def forward_prepared(self, batch: np.ndarray) -> Tensor:
+    def forward(self, batch: np.ndarray) -> Tensor:
+        """Run both heads on prepared ``[trend | remainder]`` rows."""
         length = self.input_length
         return self._network.forward(Tensor(batch[:, :length]),
                                      Tensor(batch[:, length:]))

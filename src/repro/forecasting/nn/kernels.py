@@ -16,7 +16,10 @@ state, decoder feedback, shared weights) is preserved because each fused
 node occupies its chain-tail's position in the topological replay and no
 other backward closure runs between the tail and the ops it absorbed.
 
-The switch is thread-local so concurrent server threads can mix modes.
+Fused is the default on every thread, including batcher and pool threads
+started later.  :func:`use` is a thread-local switch: ``use(False)`` runs
+the unfused graph on the current thread only, which is how the reference
+twins in :mod:`repro.reference` execute the original per-op code.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.forecasting.nn.tensor import Tensor, _graph_state, _unbroadcast
 
 class _State(threading.local):
     def __init__(self) -> None:
-        self.enabled = False
+        self.enabled = True
 
 
 _state = _State()

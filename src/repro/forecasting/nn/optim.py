@@ -4,9 +4,10 @@ Section 3.4: learning rate 0.001 and weight decay 0.0001 are the paper's
 defaults for every deep model.
 
 Two step implementations share the same arithmetic: the reference
-per-parameter loop, and a fused path (active under
-:func:`repro.forecasting.nn.kernels.use`) that runs the identical
-elementwise update chain over one flat buffer covering every parameter.
+per-parameter loop of the unfused engine (see
+:func:`repro.forecasting.nn.kernels.use`), and the default fused path
+that runs the identical elementwise update chain over one flat buffer
+covering every parameter.
 Elementwise ops are exactly rounded per element, so packing parameters
 side by side changes nothing about the produced bits — the fused path just
 replaces ~10 small ufunc calls per parameter with ~13 large ones total,

@@ -1,23 +1,28 @@
-"""Scalar reference implementations of the vectorized codecs.
+"""Scalar reference implementations of the vectorized codecs and models.
 
-Every grid codec has one production path: the array kernels in
-``repro.compression.kernels`` and in the codec modules themselves.  The
-per-point loops those kernels replaced live here, as the executable
-specification the kernels are pinned to.  Each reference class subclasses
-its production codec and overrides only the hook that differs —
-segmentation for PMC, Swing and CAMEO; block statistics, block encoding,
-block cost and Huffman packing for SZ and LFZip — so its ``compress``
-returns the same :class:`~repro.compression.base.CompressionResult`
-(payload, gzip bytes, reconstruction) through the slow path.  The
-equivalence suites (``tests/compression/test_kernels.py``,
-``test_cameo.py``, ``test_lfzip.py``, ``tests/encoding/test_huffman.py``)
-assert byte identity, and ``repro-eval bench`` times each codec against
-its reference.
+Every grid codec and forecaster has one production path: the array
+kernels in ``repro.compression.kernels``, the codec modules themselves,
+``repro.forecasting.nn.kernels`` and the ARIMA order sweep.  The
+per-point, per-order and per-op code those kernels replaced lives here,
+as the executable specification the kernels are pinned to.  Each
+reference class subclasses its production class and overrides only the
+hook that differs — segmentation for PMC, Swing and CAMEO; block
+statistics, block encoding, block cost and Huffman packing for SZ and
+LFZip; the order sweep and the in-window innovation filter for ARIMA —
+so it returns the same result type through the slow path.  The deep
+models' reference twins train and predict on the unfused autograd graph
+(``repro.forecasting.nn.kernels.use(False)``), the generic engine the
+fused kernels replay node for node.  The equivalence suites
+(``tests/compression/test_kernels.py``, ``test_cameo.py``,
+``test_lfzip.py``, ``tests/encoding/test_huffman.py``,
+``tests/forecasting/test_kernels.py``) assert byte identity, and
+``repro-eval bench`` times each codec and model against its reference.
 
 The classes are not registered, so registry queries, CLI choices and
-schema enums only ever see the production codecs.  Tests and benchmarks
-are the only importers; ``make_compressor("PMC")`` builds the reference
-twin of a registered codec by name.
+schema enums only ever see the production codecs and models.  Tests and
+benchmarks are the only importers; ``make_compressor("PMC")`` and
+``make_forecaster("GRU")`` build the reference twin of a registered codec
+or model by name.
 """
 
 from __future__ import annotations
@@ -36,6 +41,17 @@ from repro.compression.swing import Swing
 from repro.compression.sz import SZ
 from repro.compression.timestamps import MAX_SEGMENT_LENGTH
 from repro.encoding import huffman, varint
+from repro.forecasting.arima import (ArimaForecaster, _FittedArima,
+                                     _fourier_design, _is_stationary,
+                                     _stage1_innovations)
+from repro.forecasting.base import Forecaster
+from repro.forecasting.dlinear import DLinearForecaster, moving_average_split
+from repro.forecasting.gru import GRUForecaster
+from repro.forecasting.informer import InformerForecaster
+from repro.forecasting.nbeats import NBeatsForecaster
+from repro.forecasting.nn import kernels
+from repro.forecasting.nn.tensor import Tensor
+from repro.forecasting.transformer import TransformerForecaster
 
 
 # --- Huffman: the per-bit loops on every input
@@ -341,4 +357,151 @@ def make_compressor(name: str, **kwargs) -> Compressor:
         raise KeyError(
             f"no scalar reference for compression method {name!r}; "
             f"choose one of {sorted(REFERENCES)}") from None
+    return factory(**kwargs)
+
+
+# --- ARIMA: one full fit per candidate order, per-tick innovation filter
+
+
+def arima_fit_order(w: np.ndarray, positions: np.ndarray,
+                    order: tuple[int, int, int], period: int, terms: int
+                    ) -> _FittedArima | None:
+    """Both Hannan-Rissanen stages for one order, recomputed from scratch."""
+    p, d, q = order
+    burn = max(p, q, 1)
+    n = len(w)
+    if n <= burn + 2 * (p + q + 2 * terms + 1):
+        return None
+    # Stage 1: long AR to estimate innovations.
+    if q > 0:
+        long_lag = max(10, p + q + 3)
+        if n <= long_lag + 5:
+            return None
+        innovations = _stage1_innovations(w, long_lag)
+    else:
+        innovations = np.zeros(n)
+    # Stage 2: joint regression with AR lags, MA lags, and Fourier columns.
+    start = max(p, q, 10 if q else p)
+    target = w[start:]
+    design = [np.ones(len(target))]
+    design += [w[start - i:n - i] for i in range(1, p + 1)]
+    design += [innovations[start - j:n - j] for j in range(1, q + 1)]
+    fourier = _fourier_design(positions[start:], period, terms)
+    columns = np.column_stack(design + ([fourier] if terms else []))
+    coefficients, *_ = np.linalg.lstsq(columns, target, rcond=None)
+    residuals = target - columns @ coefficients
+    sigma2 = float(np.mean(residuals ** 2))
+    if not np.isfinite(sigma2) or sigma2 <= 0:
+        return None
+    k = columns.shape[1] + 1  # + variance
+    aic = len(target) * np.log(sigma2) + 2 * k
+    ar = coefficients[1:1 + p]
+    if not _is_stationary(ar):
+        # Explosive AR recursions diverge over the forecast horizon; such
+        # fits can appear on heavily-decompressed (piecewise-constant)
+        # training data and are rejected like statsmodels does.
+        return None
+    ma = coefficients[1 + p:1 + p + q]
+    fourier_coefficients = coefficients[1 + p + q:]
+    return _FittedArima(order, float(coefficients[0]), ar, ma,
+                        fourier_coefficients, sigma2, float(aic))
+
+
+class ReferenceArima(ArimaForecaster):
+    """ARIMA with the per-order sweep and the scalar innovation recursion."""
+
+    def _select_order(self, train: np.ndarray) -> _FittedArima | None:
+        """One full fit per order; strict ``<`` keeps the first best."""
+        best: _FittedArima | None = None
+        for order in self.orders:
+            d = order[1]
+            w = np.diff(train, d) if d else train
+            positions = np.arange(d, len(train), dtype=np.float64)
+            fitted = arima_fit_order(w, positions, order,
+                                     max(self.seasonal_period, 1),
+                                     self.fourier_terms)
+            if fitted is not None and (best is None or fitted.aic < best.aic):
+                best = fitted
+        return best
+
+    def _innovations(self, model: _FittedArima, differenced: np.ndarray,
+                     base: np.ndarray) -> np.ndarray:
+        """Per-tick CSS recursion, AR and MA terms together."""
+        p, _, q = model.order
+        batch, m = differenced.shape
+        innovations = np.zeros((batch, m))
+        start = max(p, q)
+        for t in range(start, m):
+            prediction = base[:, t].copy()
+            for i in range(1, p + 1):
+                prediction += model.ar[i - 1] * differenced[:, t - i]
+            for j in range(1, q + 1):
+                prediction += model.ma[j - 1] * innovations[:, t - j]
+            innovations[:, t] = differenced[:, t] - prediction
+        return innovations
+
+
+# --- deep models: the unfused autograd graph
+
+
+class UnfusedEngine:
+    """Mixin: train and predict a deep forecaster on the unfused graph.
+
+    Both ``fit`` and ``fit_windows`` train through ``_train_on_windows``.
+    Windows are not prepared ahead of batching; each model's ``forward``
+    sees the plain scaled windows.
+    """
+
+    def prepare_windows(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def _train_on_windows(self, x, y, x_val, y_val, rng) -> None:
+        with kernels.use(False):
+            super()._train_on_windows(x, y, x_val, y_val, rng)
+
+    def predict(self, windows: np.ndarray,
+                positions: np.ndarray | None = None) -> np.ndarray:
+        with kernels.use(False):
+            return super().predict(windows, positions)
+
+
+class ReferenceDLinear(UnfusedEngine, DLinearForecaster):
+    """DLinear splitting each batch inside ``forward``."""
+
+    def forward(self, batch: np.ndarray) -> Tensor:
+        trend, remainder = moving_average_split(batch, self.kernel)
+        return self._network.forward(Tensor(trend), Tensor(remainder))
+
+
+class ReferenceGRU(UnfusedEngine, GRUForecaster):
+    """GRU with one graph node per op of every cell."""
+
+
+class ReferenceNBeats(UnfusedEngine, NBeatsForecaster):
+    """N-BEATS with one graph node per layer op."""
+
+
+class ReferenceTransformer(UnfusedEngine, TransformerForecaster):
+    """Transformer on the unfused graph and per-parameter Adam."""
+
+
+class ReferenceInformer(UnfusedEngine, InformerForecaster):
+    """Informer on the unfused graph and per-parameter Adam."""
+
+
+#: reference class per registered forecaster name
+FORECASTER_REFERENCES: dict[str, type[Forecaster]] = {
+    cls.name: cls for cls in (ReferenceArima, ReferenceDLinear, ReferenceGRU,
+                              ReferenceNBeats, ReferenceTransformer,
+                              ReferenceInformer)}
+
+
+def make_forecaster(name: str, **kwargs) -> Forecaster:
+    """Scalar reference twin of the registered forecaster ``name``."""
+    try:
+        factory = FORECASTER_REFERENCES[name]
+    except KeyError:
+        raise KeyError(
+            f"no scalar reference for forecasting model {name!r}; "
+            f"choose one of {sorted(FORECASTER_REFERENCES)}") from None
     return factory(**kwargs)

@@ -147,15 +147,25 @@ def test_property_payloads_identical(values, error_bound):
 
 
 def test_production_entry_points_do_not_import_the_reference():
-    """The scalar loops stay out of every production import graph."""
+    """The scalar loops stay out of every production import graph,
+    including fitting and predicting a registry-built Arima and DLinear."""
     import repro
 
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys\n"
+            "import numpy as np\n"
             "import repro.api, repro.cli, repro.compression\n"
-            "import repro.server.app\n"
+            "import repro.forecasting, repro.server.app\n"
+            "values = np.sin(np.arange(400) / 7.0)\n"
+            "windows = np.stack([values[-60:-12], values[-48:]])\n"
+            "for name, options in (('Arima', {}),\n"
+            "                      ('DLinear', {'epochs': 1})):\n"
+            "    model = repro.forecasting.make(\n"
+            "        name, input_length=48, horizon=12, **options)\n"
+            "    model.fit(values[:300], values[300:])\n"
+            "    model.predict(windows)\n"
             "print('repro.reference' in sys.modules)\n")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)

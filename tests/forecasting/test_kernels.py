@@ -1,46 +1,56 @@
 """Kernel/scalar equivalence suite for the forecasting hot path.
 
 Every deep model routes its forward/backward through the fused kernels in
-``repro.forecasting.nn.kernels`` by default (``use_kernel=True``), and
-ARIMA shares per-d work across candidate orders; both keep the original
-per-window / per-order code as the scalar reference.  These tests pin the
-two paths to each other in the strongest form: byte-identical forecasts
-(and validation histories, and selected ARIMA orders) across synthetic
-datasets and compression error bounds, plus a hypothesis property for the
-CSS innovation recursion and a pin of the Fourier slice-stability the
-ARIMA kernel relies on.
+``repro.forecasting.nn.kernels``, and ARIMA shares per-d work across
+candidate orders; the original per-op / per-order code is each model's
+reference twin in ``repro.reference`` (``make_forecaster``).  These tests
+pin each registered model to its twin in the strongest form:
+byte-identical forecasts (and validation histories, and selected ARIMA
+orders) across synthetic datasets and compression error bounds, plus a
+hypothesis property for the CSS innovation recursion and a pin of the
+Fourier slice-stability the ARIMA kernel relies on.
 """
+
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.compression import PMC
 from repro.datasets import synthetic
-from repro.forecasting import (ArimaForecaster, DLinearForecaster,
-                               GRUForecaster, InformerForecaster,
-                               NBeatsForecaster, TransformerForecaster)
+from repro.forecasting import make
 from repro.forecasting.arima import _FittedArima, _fourier_design
+from repro.forecasting.nn import kernels
 
 INPUT, HORIZON = 24, 8
 
+
+def twin(name, production, **kwargs):
+    """The registered model ``name`` if ``production``, else its twin."""
+    if production:
+        return make(name, **kwargs)
+    return reference.make_forecaster(name, **kwargs)
+
+
 DEEP_FACTORIES = {
-    "DLinear": lambda flag: DLinearForecaster(
-        input_length=INPUT, horizon=HORIZON, kernel=9, epochs=6,
-        use_kernel=flag),
-    "GRU": lambda flag: GRUForecaster(
-        input_length=INPUT, horizon=HORIZON, hidden=8, epochs=3,
-        max_train_windows=150, use_kernel=flag),
-    "NBeats": lambda flag: NBeatsForecaster(
-        input_length=INPUT, horizon=HORIZON, hidden=16, blocks=2, layers=2,
-        epochs=4, use_kernel=flag),
-    "Transformer": lambda flag: TransformerForecaster(
-        input_length=INPUT, horizon=HORIZON, epochs=2, label_length=8,
-        max_train_windows=100, use_kernel=flag),
-    "Informer": lambda flag: InformerForecaster(
-        input_length=INPUT, horizon=HORIZON, epochs=2, label_length=8,
-        max_train_windows=100, use_kernel=flag),
+    "DLinear": lambda flag: twin(
+        "DLinear", flag, input_length=INPUT, horizon=HORIZON, kernel=9,
+        epochs=6),
+    "GRU": lambda flag: twin(
+        "GRU", flag, input_length=INPUT, horizon=HORIZON, hidden=8, epochs=3,
+        max_train_windows=150),
+    "NBeats": lambda flag: twin(
+        "NBeats", flag, input_length=INPUT, horizon=HORIZON, hidden=16,
+        blocks=2, layers=2, epochs=4),
+    "Transformer": lambda flag: twin(
+        "Transformer", flag, input_length=INPUT, horizon=HORIZON, epochs=2,
+        label_length=8, max_train_windows=100),
+    "Informer": lambda flag: twin(
+        "Informer", flag, input_length=INPUT, horizon=HORIZON, epochs=2,
+        label_length=8, max_train_windows=100),
 }
 
 DATASET_GENERATORS = [synthetic.ettm1, synthetic.solar]
@@ -93,8 +103,8 @@ def test_arima_byte_identical(generator, bound):
     windows, positions = forecast_windows(values)
     outputs = {}
     for flag in (True, False):
-        forecaster = ArimaForecaster(input_length=INPUT, horizon=HORIZON,
-                                     seasonal_period=96, use_kernel=flag)
+        forecaster = twin("Arima", flag, input_length=INPUT,
+                          horizon=HORIZON, seasonal_period=96)
         forecaster.fit(train, validation)
         outputs[flag] = (forecaster.order, forecaster._model.aic,
                          forecaster.predict(windows, positions).tobytes())
@@ -117,9 +127,8 @@ def test_fourier_design_slice_stable():
 def _arima_pair(model: _FittedArima, input_length: int):
     pair = []
     for flag in (True, False):
-        forecaster = ArimaForecaster(input_length=input_length,
-                                     horizon=HORIZON, seasonal_period=0,
-                                     use_kernel=flag)
+        forecaster = twin("Arima", flag, input_length=input_length,
+                          horizon=HORIZON, seasonal_period=0)
         forecaster._model = model
         forecaster._fitted = True
         forecaster._clip = (-1e12, 1e12)
@@ -152,3 +161,14 @@ def test_css_recursion_property(p, d, q, constant, coefficients, data):
     kernel, scalar = _arima_pair(model, length)
     assert (kernel.predict(windows).tobytes()
             == scalar.predict(windows).tobytes())
+
+
+def test_fused_kernels_are_the_default_on_new_threads():
+    """Batcher and pool threads train and predict on the fused path
+    without entering ``kernels.use``."""
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(kernels.enabled()))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [True]

@@ -6,8 +6,12 @@ import pytest
 from repro.forecasting.attention import (MultiHeadAttention,
                                          ProbSparseAttention, causal_mask)
 from repro.forecasting.nn import (Adam, Dropout, GRUCell, LayerNorm, Linear,
-                                  Module, Tensor, mse_loss,
+                                  Module, Tensor, kernels, mse_loss,
                                   positional_encoding)
+
+#: fused kernels (the default) and the unfused reference graph
+ENGINES = pytest.mark.parametrize("fused", [True, False],
+                                  ids=["fused", "unfused"])
 
 
 def rng():
@@ -68,22 +72,26 @@ def test_dropout_bad_rate_rejected():
         Dropout(1.0, rng())
 
 
-def test_grucell_updates_state():
+@ENGINES
+def test_grucell_updates_state(fused):
     cell = GRUCell(2, 4, rng())
     hidden = Tensor(np.zeros((3, 4)))
-    out = cell(Tensor(np.ones((3, 2))), hidden)
+    with kernels.use(fused):
+        out = cell(Tensor(np.ones((3, 2))), hidden)
     assert out.shape == (3, 4)
     assert not np.array_equal(out.data, hidden.data)
 
 
-def test_adam_minimizes_quadratic():
+@ENGINES
+def test_adam_minimizes_quadratic(fused):
     parameter = Tensor(np.array([5.0, -3.0]), requires_grad=True)
     optimizer = Adam([parameter], learning_rate=0.1, weight_decay=0.0)
-    for _ in range(200):
-        optimizer.zero_grad()
-        loss = (parameter * parameter).sum()
-        loss.backward()
-        optimizer.step()
+    with kernels.use(fused):
+        for _ in range(200):
+            optimizer.zero_grad()
+            loss = (parameter * parameter).sum()
+            loss.backward()
+            optimizer.step()
     assert np.abs(parameter.data).max() < 1e-2
 
 

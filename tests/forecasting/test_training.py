@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.forecasting.nn import (Linear, Module, Tensor, evaluate, fit_model,
-                                  predict_in_batches)
+                                  kernels, predict_in_batches)
+
+#: fused kernels (the default) and the unfused reference graph
+ENGINES = pytest.mark.parametrize("fused", [True, False],
+                                  ids=["fused", "unfused"])
 
 
 class TinyNet(Module):
@@ -34,14 +38,16 @@ def test_training_reduces_validation_loss():
     assert min(history) < history[0] / 5
 
 
-def test_early_stopping_restores_best_parameters():
+@ENGINES
+def test_early_stopping_restores_best_parameters(fused):
     x, y = make_problem()
     rng = np.random.default_rng(2)
     net = TinyNet(rng)
     forward = lambda batch: net(Tensor(batch))
-    history = fit_model(net, forward, x[:150], y[:150], x[150:], y[150:],
-                        rng, epochs=100, batch_size=16, patience=2)
-    final_loss = evaluate(forward, net, x[150:], y[150:])
+    with kernels.use(fused):
+        history = fit_model(net, forward, x[:150], y[:150], x[150:], y[150:],
+                            rng, epochs=100, batch_size=16, patience=2)
+        final_loss = evaluate(forward, net, x[150:], y[150:])
     assert final_loss <= min(history) + 1e-9
 
 
@@ -73,15 +79,17 @@ def test_empty_training_set_rejected():
                   np.empty((0, 2)), np.empty((0, 4)), np.empty((0, 2)), rng)
 
 
-def test_training_is_deterministic_given_rng_state():
+@ENGINES
+def test_training_is_deterministic_given_rng_state(fused):
     x, y = make_problem()
 
     def run():
         rng = np.random.default_rng(7)
         net = TinyNet(rng)
         forward = lambda batch: net(Tensor(batch))
-        fit_model(net, forward, x[:150], y[:150], x[150:], y[150:], rng,
-                  epochs=5, batch_size=16)
+        with kernels.use(fused):
+            fit_model(net, forward, x[:150], y[:150], x[150:], y[150:], rng,
+                      epochs=5, batch_size=16)
         return net.layer.weight.data.copy()
 
     assert np.array_equal(run(), run())
