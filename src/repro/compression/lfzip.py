@@ -293,6 +293,14 @@ class LFZip(Compressor):
         block_size, offset = varint.decode_unsigned(payload, offset)
         (n_blocks,) = _COUNT.unpack_from(payload, offset)
         offset += _COUNT.size
+        # a corrupt header must not size an allocation: the counts have
+        # to agree with each other and with the bytes that remain
+        if block_size < 1 or n_blocks != -(-n // block_size):
+            raise ValueError(f"corrupt LFZip header: {n} values in "
+                             f"{n_blocks} blocks of {block_size}")
+        if n_blocks * _STEP.size > len(payload) - offset:
+            raise ValueError(f"corrupt LFZip payload: {n_blocks} block "
+                             f"steps overrun {len(payload) - offset} bytes")
         steps = []
         for _ in range(n_blocks):
             steps.append(_STEP.unpack_from(payload, offset)[0])
@@ -301,6 +309,9 @@ class LFZip(Compressor):
         symbols = np.asarray(
             huffman.decode(payload[offset:offset + blob_length]),
             dtype=np.int64)
+        if len(symbols) != n:
+            raise ValueError(f"corrupt LFZip payload: {len(symbols)} "
+                             f"symbols for {n} values")
         offset += blob_length
         (n_outliers,) = _COUNT.unpack_from(payload, offset)
         offset += _COUNT.size

@@ -5,8 +5,6 @@ from repro.core.cache import DiskCache
 from repro.core.config import EvaluationConfig
 from repro.core.correlation import spearman, spearman_ranking
 from repro.core.elbow import elbow_point, kneedle
-from repro.core.export import (export_baselines, export_compression_sweep,
-                               export_scenario_records, export_tfe)
 from repro.core.importance import (ImportanceAnalysis, analyze_importance,
                                    build_matrix)
 from repro.core.regression import LinearFit, fit_linear
@@ -24,10 +22,6 @@ from repro.runtime.manifest import RunManifest
 __all__ = [
     "CompressionAdvisor",
     "Recommendation",
-    "export_baselines",
-    "export_compression_sweep",
-    "export_scenario_records",
-    "export_tfe",
     "DiskCache",
     "EvaluationConfig",
     "spearman",

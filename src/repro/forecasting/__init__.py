@@ -10,7 +10,6 @@ from repro.forecasting.gru import GRUForecaster
 from repro.forecasting.informer import InformerForecaster
 from repro.forecasting.nbeats import NBeatsForecaster
 from repro.forecasting.multichannel import ChannelIndependentTrainer
-from repro.forecasting.persistence import load_forecaster, save_forecaster
 from repro.forecasting.registry import (DEEP_MODELS, MODEL_CLASSES,
                                         MODEL_NAMES, make)
 from repro.forecasting.tuning import TuningResult, expand_grid, grid_search
@@ -25,8 +24,6 @@ __all__ = [
     "TuningResult",
     "expand_grid",
     "grid_search",
-    "load_forecaster",
-    "save_forecaster",
     "DEFAULT_HORIZON",
     "DEFAULT_INPUT_LENGTH",
     "Forecaster",

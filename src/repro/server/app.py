@@ -138,8 +138,7 @@ class ReproServer:
     """The daemon: one ApiService, two micro-batchers, async grid runs."""
 
     def __init__(self, config=None, host: str = "127.0.0.1", port: int = 0,
-                 max_batch: int = 64, batch_window_s: float = 0.01,
-                 request_timeout_s: float = 600.0,
+                 max_batch: int = 64, request_timeout_s: float = 600.0,
                  max_queue: int | None = 1024, max_inflight_runs: int = 16,
                  max_tracked_runs: int = 256,
                  retry_after_s: int = 1, max_sessions: int = 256,
@@ -172,10 +171,10 @@ class ReproServer:
                       ", ".join(interrupted))
         self._compress_batcher = MicroBatcher(
             "compress", self.service.compress_batch, max_batch=max_batch,
-            max_wait_s=batch_window_s, max_queue=max_queue)
+            max_queue=max_queue)
         self._forecast_batcher = MicroBatcher(
             "forecast", self.service.forecast_batch, max_batch=max_batch,
-            max_wait_s=batch_window_s, max_queue=max_queue)
+            max_queue=max_queue)
         #: admission control: /v1/grid submissions over this many live
         #: (pending/running) runs are shed with 429 + Retry-After
         self.max_inflight_runs = max(1, max_inflight_runs)
@@ -664,9 +663,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="shared job cache ('' disables caching)")
     parser.add_argument("--max-batch", type=int, default=64,
                         help="micro-batch size cap")
-    parser.add_argument("--batch-window", type=float, default=0.01,
-                        help="seconds to wait for batch-mates after the "
-                             "first request arrives")
     parser.add_argument("--max-queue", type=int, default=1024,
                         help="bounded batch-queue depth per family; "
                              "submissions over it are shed with 429 "
@@ -736,7 +732,6 @@ def serve_from_args(args: argparse.Namespace) -> int:
     )
     server = ReproServer(config, host=args.host, port=args.port,
                          max_batch=args.max_batch,
-                         batch_window_s=args.batch_window,
                          request_timeout_s=args.request_timeout,
                          max_queue=args.max_queue or None,
                          max_inflight_runs=args.max_inflight_runs,

@@ -1,10 +1,13 @@
 """Server-side micro-batching: coalesce concurrent requests into one run.
 
 The model-serving batching pattern (Clipper-style): handler threads
-enqueue their request and block; a single dispatcher thread drains the
-queue — waiting up to ``max_wait_s`` after the first arrival so
-concurrent clients land in the same batch, capping at ``max_batch`` — and
-hands the whole batch to one ``execute`` callable.  For this system that
+enqueue their request and block; a single dispatcher thread dispatches
+on idle — it blocks for the first request, takes whatever else is
+already queued (capping at ``max_batch``) without waiting for more, and
+hands the whole batch to one ``execute`` callable.  A lone request never
+waits for company; requests that arrive while a batch executes queue up
+and form the next batch, so occupancy rises with load instead of being
+bought with latency.  For this system that
 callable is :meth:`~repro.api.service.ApiService.compress_batch` /
 ``forecast_batch``, which runs the batch as ONE task graph: requests
 sharing a (dataset, method, model) signature collapse to a single
@@ -89,12 +92,10 @@ class MicroBatcher:
 
     def __init__(self, name: str,
                  execute: Callable[[list[Any]], Sequence[Any]],
-                 max_batch: int = 64, max_wait_s: float = 0.01,
-                 max_queue: int | None = None) -> None:
+                 max_batch: int = 64, max_queue: int | None = None) -> None:
         self.name = name
         self._execute = execute
         self.max_batch = max(1, max_batch)
-        self.max_wait_s = max(0.0, max_wait_s)
         #: queued-submission cap; None = unbounded (no shedding)
         self.max_queue = max_queue if max_queue is None else max(1, max_queue)
         self._queue: queue.Queue = queue.Queue()
@@ -166,17 +167,14 @@ class MicroBatcher:
         return overloaded_envelope(self.name, message)
 
     def _collect(self) -> list[_Pending] | None:
-        """Block for the first request, then drain up to the batch window."""
+        """Block for the first request, then take what is already queued."""
         first = self._queue.get()
         if first is _STOP:
             return None
         batch = [first]
-        deadline = WALL() + self.max_wait_s
         while len(batch) < self.max_batch:
-            remaining = deadline - WALL()
             try:
-                item = (self._queue.get_nowait() if remaining <= 0
-                        else self._queue.get(timeout=remaining))
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _STOP:

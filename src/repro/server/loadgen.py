@@ -575,7 +575,7 @@ def check_serve_report(report: dict) -> list[str]:
 
 @contextmanager
 def self_hosted(length: int = 512, max_batch: int = 64,
-                batch_window_s: float = 0.01, max_queue: int | None = 1024,
+                max_queue: int | None = 1024,
                 max_inflight_runs: int = 16,
                 request_timeout_s: float = 60.0,
                 cache_dir: str | None = None, max_sessions: int = 256,
@@ -597,8 +597,7 @@ def self_hosted(length: int = 512, max_batch: int = 64,
                               input_length=max(8, length // 8),
                               horizon=max(4, length // 32),
                               keep_going=True, simple_seeds=1, deep_seeds=1)
-    with ReproServer(config, port=0, max_batch=max_batch,
-                     batch_window_s=batch_window_s, max_queue=max_queue,
+    with ReproServer(config, port=0, max_batch=max_batch, max_queue=max_queue,
                      max_inflight_runs=max_inflight_runs,
                      request_timeout_s=request_timeout_s,
                      max_sessions=max_sessions, session_ttl_s=session_ttl_s,

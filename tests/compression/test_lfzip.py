@@ -85,6 +85,22 @@ def test_round_trip_through_bytes():
     assert reconstructed.interval == series.interval
 
 
+@pytest.mark.parametrize("bit", [0, 20, 31])
+def test_corrupt_count_header_is_refused_before_allocating(bit):
+    from repro.compression import timestamps
+    from repro.compression.base import gzip_bytes
+
+    rng = np.random.default_rng(2)
+    series = series_of(400 + rng.normal(0, 5, 700), interval=600)
+    payload = bytearray(LFZip().compress(series, 0.05).payload)
+    # the value count follows the timestamp header; unchecked, a flipped
+    # high bit sized a multi-GiB array before anything was decoded
+    offset = len(timestamps.encode_header(series.start, series.interval))
+    payload[offset + bit // 8] ^= 1 << (bit % 8)
+    with pytest.raises(ValueError, match="corrupt LFZip"):
+        LFZip().decompress(gzip_bytes(bytes(payload)))
+
+
 def test_handles_zeros_exactly():
     """A zero anywhere in a block forces step 0 -> outlier storage; the
     relative bound then demands exactness at the zeros themselves."""

@@ -255,7 +255,7 @@ def test_loadgen_under_overload_sheds_instead_of_hanging():
                                          min_throughput_rps=0.0,
                                          max_error_rate=1.0))
     with self_hosted(length=256, max_batch=1, max_queue=1,
-                     batch_window_s=0.0, request_timeout_s=2.0) as server:
+                     request_timeout_s=2.0) as server:
         original = server._compress_batcher._execute
 
         def slow(requests):

@@ -51,13 +51,49 @@ def _config(**overrides):
 
 @pytest.fixture()
 def server():
-    with ReproServer(_config(), port=0, batch_window_s=0.1) as instance:
+    with ReproServer(_config(), port=0) as instance:
         yield instance
 
 
 @pytest.fixture()
 def client(server):
     return ReproClient(port=server.port)
+
+
+def _compress_behind_held_batch(server, client, requests):
+    """Send ``requests[0]`` alone and hold its batch inside ``execute``.
+
+    The other requests queue while that batch is held and dispatch
+    together once it returns, so they coalesce without any timing
+    assumption.  Returns one future per request, in order.
+    """
+    batcher = server._compress_batcher
+    entered = threading.Event()
+    release = threading.Event()
+    original = batcher._execute
+
+    def held(batch):
+        entered.set()
+        release.wait(30.0)
+        return original(batch)
+
+    batcher._execute = held
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=len(requests)) as pool:
+        try:
+            futures = [pool.submit(client.compress, requests[0])]
+            assert entered.wait(30.0)
+            futures += [pool.submit(client.compress, request)
+                        for request in requests[1:]]
+            deadline = time.monotonic() + 30.0
+            while (batcher._queue.qsize() < len(requests) - 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            assert batcher._queue.qsize() == len(requests) - 1
+        finally:
+            release.set()
+        concurrent.futures.wait(futures)
+    return futures
 
 
 def test_healthz_reports_ok(client):
@@ -74,11 +110,11 @@ def test_compress_round_trip(client):
     assert response.te["NRMSE"] >= 0
 
 
-def test_concurrent_overlapping_requests_batch(client):
+def test_concurrent_overlapping_requests_batch(server, client):
     requests = [CompressRequest("ETTm1", ("PMC", "SWING")[i % 2], 0.1,
                                 part="full") for i in range(16)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=16) as pool:
-        responses = list(pool.map(client.compress, requests))
+    responses = [future.result() for future in
+                 _compress_behind_held_batch(server, client, requests)]
     assert all(isinstance(r, CompressResponse) for r in responses)
     assert [r.method for r in responses] == [q.method for q in requests]
 
@@ -101,19 +137,17 @@ def test_cold_and_warm_bodies_are_byte_identical(client):
 
 def test_failing_cell_is_a_structured_503(monkeypatch):
     monkeypatch.setenv("REPRO_INJECT_FAILURE", "compress:SWING")
-    with ReproServer(_config(), port=0, batch_window_s=0.1) as server:
+    with ReproServer(_config(), port=0) as server:
         client = ReproClient(port=server.port)
-        # the healthy sibling in the same batch window still succeeds
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            ok_future = pool.submit(
-                client.compress,
-                CompressRequest("ETTm1", "PMC", 0.1, part="full"))
-            bad_future = pool.submit(
-                client.compress,
-                CompressRequest("ETTm1", "SWING", 0.1, part="full"))
-            assert isinstance(ok_future.result(), CompressResponse)
-            with pytest.raises(ServerError) as excinfo:
-                bad_future.result()
+        # the healthy sibling queued into the same batch still succeeds
+        _, ok_future, bad_future = _compress_behind_held_batch(
+            server, client,
+            [CompressRequest("ETTm1", "PMC", 0.1, part="full"),
+             CompressRequest("ETTm1", "PMC", 0.1, part="full"),
+             CompressRequest("ETTm1", "SWING", 0.1, part="full")])
+        assert isinstance(ok_future.result(), CompressResponse)
+        with pytest.raises(ServerError) as excinfo:
+            bad_future.result()
     assert excinfo.value.status == 503
     envelope = excinfo.value.envelope
     assert isinstance(envelope, ErrorEnvelope)
@@ -202,10 +236,10 @@ def test_trace_dir_holds_one_request_span_per_served_request(tmp_path):
     requests = [CompressRequest("ETTm1", ("PMC", "SWING")[i % 2], 0.1,
                                 part="full") for i in range(8)]
     config = _config(trace_dir=str(tmp_path))
-    with ReproServer(config, port=0, batch_window_s=0.05) as server:
+    with ReproServer(config, port=0) as server:
         client = ReproClient(port=server.port)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            responses = list(pool.map(client.compress, requests))
+        responses = [future.result() for future in
+                     _compress_behind_held_batch(server, client, requests)]
         assert all(isinstance(r, CompressResponse) for r in responses)
         trace = client.trace(TraceRequest(run_dir=str(tmp_path)))
         # the last request served: its count includes itself
@@ -225,7 +259,7 @@ def test_trace_dir_holds_one_request_span_per_served_request(tmp_path):
 def test_saturated_batch_queue_sheds_429_with_retry_after():
     entered = threading.Event()
     release = threading.Event()
-    with ReproServer(_config(), port=0, batch_window_s=0.0, max_batch=1,
+    with ReproServer(_config(), port=0, max_batch=1,
                      max_queue=1, request_timeout_s=1.0,
                      retry_after_s=3) as server:
         original = server._compress_batcher._execute
@@ -334,8 +368,7 @@ def test_metricz_is_exact_across_incremental_scrapes(client):
 def test_metricz_is_exact_across_scrapes_with_trace_dir(tmp_path):
     # the path where each scheduler run used to flush (and reset) the
     # registry into the trace file between scrapes
-    with ReproServer(_config(trace_dir=str(tmp_path)), port=0,
-                     batch_window_s=0.0) as server:
+    with ReproServer(_config(trace_dir=str(tmp_path)), port=0) as server:
         client = ReproClient(port=server.port)
         request = CompressRequest("ETTm1", "PMC", 0.1, part="full")
         scrapes = [client.metricz()]

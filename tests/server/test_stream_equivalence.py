@@ -41,7 +41,7 @@ def _config():
 def server():
     # module-scoped: one daemon serves every example of the property
     # suite (hypothesis forbids per-example function-scoped fixtures)
-    with ReproServer(_config(), port=0, batch_window_s=0.0) as instance:
+    with ReproServer(_config(), port=0) as instance:
         yield instance
 
 
