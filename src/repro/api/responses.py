@@ -216,7 +216,8 @@ class HealthResponse:
     version: int
     #: seconds since the server started
     uptime_s: float = 0.0
-    #: grid runs currently tracked (any state)
+    #: grid runs in the daemon's run store (any state, including runs
+    #: of earlier daemons sharing a ``--store``)
     runs: int = 0
     #: grid runs still pending/running — the admission-control population
     inflight_runs: int = 0

@@ -13,14 +13,11 @@ from repro.compression.sz import SZ
 from repro.compression.registry import (GRID_METHODS, LOSSY_METHODS,
                                         PAPER_ERROR_BOUNDS,
                                         STREAMING_METHODS, make)
-from repro.compression.multivariate import (DatasetCompressionResult,
-                                             compress_dataset)
 from repro.compression.streaming import (ConstantSegment, LFZipSegment,
                                           LinearSegment, OnlineLFZip,
                                           OnlinePMC, OnlineSwing, reconstruct)
-from repro.compression.serialize import (compression_ratio, deserialize_raw,
-                                         raw_gz_size, serialize_csv,
-                                         serialize_raw)
+from repro.compression.serialize import (compression_ratio, raw_gz_size,
+                                         serialize_csv)
 
 __all__ = [
     "Cameo",
@@ -36,8 +33,6 @@ __all__ = [
     "OnlinePMC",
     "OnlineSwing",
     "reconstruct",
-    "DatasetCompressionResult",
-    "compress_dataset",
     "CompressionResult",
     "Compressor",
     "check_error_bound",
@@ -51,8 +46,6 @@ __all__ = [
     "PAPER_ERROR_BOUNDS",
     "make",
     "compression_ratio",
-    "deserialize_raw",
     "raw_gz_size",
     "serialize_csv",
-    "serialize_raw",
 ]

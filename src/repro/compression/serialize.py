@@ -3,38 +3,14 @@
 The paper's datasets ship as CSV files, and "gzip is also applied directly
 to the raw dataset", so the compression-ratio denominator (Equation 3) is
 the size of the gzipped CSV text: one ``timestamp,value`` line per point.
-A binary float64 representation is also provided for lossless round-trip
-storage.
 """
 
 from __future__ import annotations
 
-import struct
 from datetime import datetime, timezone
 
-import numpy as np
-
-from repro.compression import timestamps
 from repro.compression.base import gzip_bytes
 from repro.datasets.timeseries import TimeSeries
-
-_COUNT = struct.Struct("<I")
-
-
-def serialize_raw(series: TimeSeries) -> bytes:
-    """Serialize the raw series: header, point count, float64 values."""
-    header = timestamps.encode_header(series.start, series.interval)
-    values = np.asarray(series.values, dtype="<f8").tobytes()
-    return header + _COUNT.pack(len(series)) + values
-
-
-def deserialize_raw(payload: bytes, name: str = "series") -> TimeSeries:
-    """Inverse of :func:`serialize_raw`."""
-    start, interval, offset = timestamps.decode_header(payload)
-    (count,) = _COUNT.unpack_from(payload, offset)
-    offset += _COUNT.size
-    values = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-    return TimeSeries(values.copy(), start=start, interval=interval, name=name)
 
 
 def serialize_csv(series: TimeSeries) -> bytes:

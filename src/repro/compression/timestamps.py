@@ -3,8 +3,8 @@
 The paper stores, for all compressors alike, the first timestamp as a 32-bit
 integer, the sampling interval as a 16-bit integer, and each generated
 segment's length as an unsigned 16-bit integer, so timestamp storage cannot
-favour one method over another.  Segments longer than 65,535 points are
-split transparently.
+favour one method over another.  Every segmenter therefore caps a segment
+at ``MAX_SEGMENT_LENGTH`` (65,535) points and starts a new one there.
 """
 
 from __future__ import annotations
@@ -12,26 +12,12 @@ from __future__ import annotations
 import struct
 
 _HEADER = struct.Struct("<iH")  # first timestamp (i32), interval (u16)
-_LENGTH = struct.Struct("<H")  # one segment length (u16)
 MAX_SEGMENT_LENGTH = 0xFFFF
 
 # The paper's datasets start in the 2020s; 32 bits cannot hold raw epoch
 # seconds for the 2-second Wind data spanning years, so, like ModelarDB,
 # we store the offset from a fixed epoch.
 _EPOCH = 1_577_836_800  # 2020-01-01T00:00:00Z
-
-
-def split_lengths(lengths: list[int]) -> list[int]:
-    """Split any over-long segment lengths so each fits in 16 bits."""
-    out: list[int] = []
-    for length in lengths:
-        if length <= 0:
-            raise ValueError(f"segment lengths must be positive, got {length}")
-        while length > MAX_SEGMENT_LENGTH:
-            out.append(MAX_SEGMENT_LENGTH)
-            length -= MAX_SEGMENT_LENGTH
-        out.append(length)
-    return out
 
 
 def encode_header(start: int, interval: int) -> bytes:
@@ -46,15 +32,3 @@ def decode_header(data: bytes, offset: int = 0) -> tuple[int, int, int]:
     delta, interval = _HEADER.unpack_from(data, offset)
     return delta + _EPOCH, interval, offset + _HEADER.size
 
-
-def encode_length(length: int) -> bytes:
-    """Encode one segment length as an unsigned 16-bit integer."""
-    if not 0 < length <= MAX_SEGMENT_LENGTH:
-        raise ValueError(f"segment length {length} does not fit in 16 bits")
-    return _LENGTH.pack(length)
-
-
-def decode_length(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode one segment length; returns ``(length, next_offset)``."""
-    (length,) = _LENGTH.unpack_from(data, offset)
-    return length, offset + _LENGTH.size

@@ -29,15 +29,12 @@ from repro.api.errors import ApiError, ErrorEnvelope
 from repro.api.requests import CompressRequest, ForecastRequest, GridRequest
 from repro.api.responses import CompressResponse, ForecastResponse
 from repro.api.service import ApiService
-from repro.compression.base import CompressionResult
-from repro.compression.registry import make as make_compressor
 from repro.core.cache import DiskCache
 from repro.core.config import EvaluationConfig
 from repro.core.results import CompressionRecord, ScenarioRecord
 from repro.datasets.splits import Split
 from repro.datasets.timeseries import Dataset, TimeSeries
 from repro.forecasting.base import Forecaster
-from repro.runtime.jobs import JobSpec
 from repro.runtime.manifest import FailureRecord, RunManifest
 
 
@@ -74,10 +71,6 @@ class Evaluation:
         to what ``repro-serve`` reports through ``/v1/runs/{id}``."""
         return self._service.failure_envelopes()
 
-    def _run(self, jobs: list[JobSpec]) -> dict[str, object]:
-        """Pre-API escape hatch: run raw job specs as one graph."""
-        return self._service.run_jobs(jobs)
-
     # -- data ------------------------------------------------------------------
 
     def dataset(self, name: str) -> Dataset:
@@ -89,11 +82,6 @@ class Evaluation:
         return self._service.split(name)
 
     # -- compression -------------------------------------------------------------
-
-    def compress_series(self, series: TimeSeries, method: str,
-                        error_bound: float) -> CompressionResult:
-        """Compress one free-standing series (no caching)."""
-        return make_compressor(method).compress(series, error_bound)
 
     def compression_sweep(self, name: str) -> list[CompressionRecord]:
         """TE/CR/segment records over the full target series (RQ1).

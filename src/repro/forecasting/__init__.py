@@ -9,10 +9,8 @@ from repro.forecasting.gboost import GBoostForecaster, GradientBoostingRegressor
 from repro.forecasting.gru import GRUForecaster
 from repro.forecasting.informer import InformerForecaster
 from repro.forecasting.nbeats import NBeatsForecaster
-from repro.forecasting.multichannel import ChannelIndependentTrainer
 from repro.forecasting.registry import (DEEP_MODELS, MODEL_CLASSES,
                                         MODEL_NAMES, make)
-from repro.forecasting.tuning import TuningResult, expand_grid, grid_search
 from repro.forecasting.scaling import StandardScaler
 from repro.forecasting.transformer import TransformerForecaster
 from repro.forecasting.trees import RegressionTree
@@ -20,10 +18,6 @@ from repro.forecasting.windows import (make_windows, paired_windows,
                                        subsample_windows)
 
 __all__ = [
-    "ChannelIndependentTrainer",
-    "TuningResult",
-    "expand_grid",
-    "grid_search",
     "DEFAULT_HORIZON",
     "DEFAULT_INPUT_LENGTH",
     "Forecaster",

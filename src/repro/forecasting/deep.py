@@ -76,24 +76,6 @@ class DeepForecaster(Forecaster):
             x_val, y_val = x[-max(len(x) // 10, 1):], y[-max(len(y) // 10, 1):]
         self._train_on_windows(x, y, x_val, y_val, rng)
 
-    def fit_windows(self, x: np.ndarray, y: np.ndarray,
-                    x_val: np.ndarray, y_val: np.ndarray,
-                    scaler_values: np.ndarray | None = None) -> None:
-        """Fit on pre-built (already pooled) windows.
-
-        Used by channel-independent multivariate training, where windows
-        come from several channels.  ``scaler_values`` fits the standard
-        scaler (defaults to the flattened training inputs).
-        """
-        rng = np.random.default_rng(self.seed)
-        reference = (np.ravel(scaler_values) if scaler_values is not None
-                     else np.ravel(x))
-        self._scaler.fit(reference)
-        self._train_on_windows(self._scaler.transform(x),
-                               self._scaler.transform(y),
-                               self._scaler.transform(x_val),
-                               self._scaler.transform(y_val), rng)
-
     def _train_on_windows(self, x, y, x_val, y_val, rng) -> None:
         x, y = subsample_windows(x, y, self.max_train_windows, rng)
         x_val, y_val = subsample_windows(x_val, y_val,

@@ -2,14 +2,9 @@
 
 from repro.metrics.pointwise import (DISTANCE_METRICS, METRICS, correlation,
                                      nrmse, rmse, rse)
-from repro.metrics.extended import mae, mape, mase, smape
 from repro.metrics.errors import forecasting_error, tfe, transformation_error
 
 __all__ = [
-    "mae",
-    "mape",
-    "mase",
-    "smape",
     "DISTANCE_METRICS",
     "METRICS",
     "correlation",

@@ -447,9 +447,9 @@ class ReferenceArima(ArimaForecaster):
 class UnfusedEngine:
     """Mixin: train and predict a deep forecaster on the unfused graph.
 
-    Both ``fit`` and ``fit_windows`` train through ``_train_on_windows``.
-    Windows are not prepared ahead of batching; each model's ``forward``
-    sees the plain scaled windows.
+    ``fit`` trains through ``_train_on_windows``.  Windows are not
+    prepared ahead of batching; each model's ``forward`` sees the plain
+    scaled windows.
     """
 
     def prepare_windows(self, x: np.ndarray) -> np.ndarray:

@@ -49,9 +49,9 @@ And it sheds, it does not queue forever: the batch queues are bounded
 structured ``overloaded`` envelope as HTTP 429 plus a ``Retry-After``
 header, counted in ``server.shed``.  A request whose wait expires is
 cancelled server-side (it never occupies a batch slot) and answered
-with a ``timeout`` envelope as HTTP 504.  Terminal grid runs beyond
-``--max-tracked-runs`` are evicted from memory; their polls keep
-answering from the durable run store.
+with a ``timeout`` envelope as HTTP 504.  Grid runs live in one ledger,
+the :class:`~repro.runtime.store.RunStore`: every poll and the health
+count read it, and the daemon keeps only the ids of its live runs.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ import sys
 import threading
 import urllib.parse
 import uuid
-from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -107,31 +106,8 @@ class _HttpServer(ThreadingHTTPServer):
     block_on_close = True
 
 
-#: statuses after which a run's worker thread is gone for good
-_TERMINAL_STATES = ("done", "failed", "interrupted")
-
 #: sentinel payload: the route already wrote its own (streamed) response
 _STREAMED: Any = object()
-
-
-@dataclass
-class _GridRun:
-    """One async grid run tracked by the server."""
-
-    run_id: str
-    request: GridRequest
-    cells: int
-    status: str = "pending"
-    manifest: dict | None = None
-    failures: tuple[ErrorEnvelope, ...] = ()
-    records: tuple[ForecastResponse, ...] = ()
-    done: threading.Event = field(default_factory=threading.Event)
-
-    def to_response(self) -> RunStatusResponse:
-        return RunStatusResponse(run_id=self.run_id, status=self.status,
-                                 manifest=self.manifest,
-                                 failures=self.failures,
-                                 records=self.records)
 
 
 class ReproServer:
@@ -140,7 +116,6 @@ class ReproServer:
     def __init__(self, config=None, host: str = "127.0.0.1", port: int = 0,
                  max_batch: int = 64, request_timeout_s: float = 600.0,
                  max_queue: int | None = 1024, max_inflight_runs: int = 16,
-                 max_tracked_runs: int = 256,
                  retry_after_s: int = 1, max_sessions: int = 256,
                  session_ttl_s: float = 3600.0,
                  max_resident_sessions: int | None = None,
@@ -178,9 +153,6 @@ class ReproServer:
         #: admission control: /v1/grid submissions over this many live
         #: (pending/running) runs are shed with 429 + Retry-After
         self.max_inflight_runs = max(1, max_inflight_runs)
-        #: terminal runs kept in memory; older ones are evicted (the
-        #: durable RunStore keeps answering their polls)
-        self.max_tracked_runs = max(1, max_tracked_runs)
         #: seconds advertised in the Retry-After header of a 429
         self.retry_after_s = max(1, int(retry_after_s))
         #: live /v1/stream sessions: admission-bounded, TTL/LRU evicted,
@@ -191,7 +163,9 @@ class ReproServer:
                                        ttl_s=session_ttl_s,
                                        max_resident=max_resident_sessions)
         self._session_sweep_s = max(0.1, float(session_sweep_s))
-        self._runs: dict[str, _GridRun] = {}
+        #: ids of this daemon's pending/running grid runs; everything
+        #: else about a run lives in ``self.store``
+        self._live_runs: set[str] = set()
         self._runs_lock = threading.Lock()
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
@@ -244,13 +218,11 @@ class ReproServer:
 
     def submit_grid(self, request: GridRequest) -> GridSubmitResponse:
         run_id = uuid.uuid4().hex[:12]
-        run = _GridRun(run_id=run_id, request=request,
-                       cells=len(self.service.grid_requests(request)))
+        cells = len(self.service.grid_requests(request))
         with self._runs_lock:
             # admission control: check + insert atomically so concurrent
             # submissions cannot both squeeze under the cap
-            inflight = sum(1 for tracked in self._runs.values()
-                           if tracked.status not in _TERMINAL_STATES)
+            inflight = len(self._live_runs)
             if inflight >= self.max_inflight_runs:
                 obs_metrics.inc("server.shed")
                 obs_metrics.inc("server.shed.grid")
@@ -259,75 +231,53 @@ class ReproServer:
                     f"{inflight} grid runs already in flight (cap "
                     f"{self.max_inflight_runs}); retry after backoff"),
                     status=429)
-            self._runs[run_id] = run
-        self.store.create(run_id, cells=run.cells, request=encode(request))
+            self._live_runs.add(run_id)
+        self.store.create(run_id, cells=cells, request=encode(request))
         # build the ack before starting the worker: the run may already be
         # "running" by the time this returns, but the submission itself is
         # always acknowledged as pending
-        ack = GridSubmitResponse(run_id=run_id, cells=run.cells,
-                                 status="pending")
-        threading.Thread(target=self._run_grid, args=(run,),
+        ack = GridSubmitResponse(run_id=run_id, cells=cells, status="pending")
+        threading.Thread(target=self._run_grid, args=(run_id, request),
                          name=f"grid-{run_id}", daemon=True).start()
         obs_metrics.inc("server.grid.submitted")
         return ack
 
-    def _run_grid(self, run: _GridRun) -> None:
-        run.status = "running"
-        self.store.set_status(run.run_id, "running")
+    def _run_grid(self, run_id: str, request: GridRequest) -> None:
+        self.store.set_status(run_id, "running")
+        records: tuple[ForecastResponse, ...] = ()
         try:
             responses = self.service.forecast_batch(
-                self.service.grid_requests(run.request))
+                self.service.grid_requests(request))
         except JobError as error:
-            run.failures = (envelope_from_job_error(error),)
+            failures = (envelope_from_job_error(error),)
             status = "failed"
         except Exception as error:  # noqa: BLE001 — report, don't vanish
-            run.failures = (ErrorEnvelope(kind="internal", key=run.run_id,
-                                          message=repr(error)),)
+            failures = (ErrorEnvelope(kind="internal", key=run_id,
+                                      message=repr(error)),)
             status = "failed"
         else:
-            run.records = tuple(r for r in responses
-                                if isinstance(r, ForecastResponse))
-            run.failures = tuple(r for r in responses
-                                 if isinstance(r, ErrorEnvelope))
+            records = tuple(r for r in responses
+                            if isinstance(r, ForecastResponse))
+            failures = tuple(r for r in responses
+                             if isinstance(r, ErrorEnvelope))
             status = "done"
         manifest = self.service.last_manifest
-        run.manifest = manifest.to_dict() if manifest is not None else None
-        self.store.finish(run.run_id, status, manifest=run.manifest,
-                          failures=[encode(f) for f in run.failures],
-                          records=[encode(r) for r in run.records])
+        manifest_dict = manifest.to_dict() if manifest is not None else None
+        failure_payloads = [encode(f) for f in failures]
+        record_payloads = [encode(r) for r in records]
         with self._runs_lock:
-            # one step under the lock: a poll that sees the terminal
-            # status also sees the eviction it triggers
-            run.status = status
-            self._evict_runs()
-        run.done.set()
-
-    def _evict_runs(self) -> None:
-        """Drop the oldest terminal runs beyond the tracking window.
-
-        Without eviction ``_runs`` would grow without bound, keeping
-        every completed grid run (records and all) in daemon memory
-        forever.  Terminal runs beyond ``max_tracked_runs`` are evicted
-        here (dict insertion order = submission order, so the oldest go
-        first); their polls fall through to the durable :class:`RunStore`
-        in :meth:`run_status`.  Live runs are never evicted.  The caller
-        holds ``_runs_lock``.
-        """
-        terminal = [run_id for run_id, run in self._runs.items()
-                    if run.status in _TERMINAL_STATES]
-        overflow = len(terminal) - self.max_tracked_runs
-        if overflow > 0:
-            for run_id in terminal[:overflow]:
-                del self._runs[run_id]
-            obs_metrics.inc("server.runs.evicted", overflow)
+            # finish (one UPDATE: status and payloads together) and free
+            # the admission slot in one step: a poll that reads the
+            # terminal status sees the records, and a health check or
+            # submission made after it sees the slot free
+            try:
+                self.store.finish(run_id, status, manifest=manifest_dict,
+                                  failures=failure_payloads,
+                                  records=record_payloads)
+            finally:
+                self._live_runs.discard(run_id)
 
     def run_status(self, run_id: str) -> RunStatusResponse:
-        with self._runs_lock:
-            run = self._runs.get(run_id)
-            if run is not None:
-                return run.to_response()
-        # not in this process's memory: a run from a previous daemon
-        # incarnation may still be answerable from the durable store
         stored = self.store.get(run_id)
         if stored is None:
             raise ApiError(ErrorEnvelope(kind=NOT_FOUND, key=run_id,
@@ -357,9 +307,8 @@ class ReproServer:
 
     def health(self) -> HealthResponse:
         with self._runs_lock:
-            runs = len(self._runs)
-            inflight = sum(1 for run in self._runs.values()
-                           if run.status not in _TERMINAL_STATES)
+            inflight = len(self._live_runs)
+        runs = self.store.count()
         return HealthResponse(status="ok", version=API_VERSION,
                               uptime_s=WALL() - self._started_at, runs=runs,
                               inflight_runs=inflight)
@@ -411,7 +360,6 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
 
         def _dispatch(self, method: str) -> None:
             path = self.path.split("?", 1)[0].rstrip("/")
-            status_holder = {"status": 500}
             obs_metrics.inc("server.requests")
             with obs_trace.span("server.request", method=method,
                                 path=path) as span:
@@ -422,12 +370,13 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
                 except Exception as error:  # noqa: BLE001 — envelope it
                     status, payload = 500, encode(ErrorEnvelope(
                         kind="internal", key=path, message=repr(error)))
-                status_holder["status"] = status
                 if span.enabled:
                     span.tag(status=status)
+                # counted before the body is sent, so a client that reads
+                # /v1/metricz after this response sees its status
+                obs_metrics.inc(f"server.status.{status}")
                 if payload is not _STREAMED:
                     self._send_payload(status, payload)
-            obs_metrics.inc(f"server.status.{status_holder['status']}")
 
         def do_GET(self) -> None:  # noqa: N802 — http.server contract
             self._dispatch("GET")
@@ -670,9 +619,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-inflight-runs", type=int, default=16,
                         help="async /v1/grid admission cap; submissions "
                              "over it are shed with 429")
-    parser.add_argument("--max-tracked-runs", type=int, default=256,
-                        help="terminal grid runs kept in memory; older "
-                             "ones fall through to the run store")
     parser.add_argument("--retry-after", type=int, default=1,
                         help="seconds advertised in the Retry-After "
                              "header of a 429")
@@ -735,7 +681,6 @@ def serve_from_args(args: argparse.Namespace) -> int:
                          request_timeout_s=args.request_timeout,
                          max_queue=args.max_queue or None,
                          max_inflight_runs=args.max_inflight_runs,
-                         max_tracked_runs=args.max_tracked_runs,
                          retry_after_s=args.retry_after,
                          max_sessions=args.max_sessions,
                          session_ttl_s=args.session_ttl,

@@ -3,19 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.compression import (compression_ratio, deserialize_raw, gzip_bytes,
-                               gunzip_bytes, raw_gz_size, serialize_csv,
-                               serialize_raw)
+from repro.compression import (compression_ratio, gzip_bytes, gunzip_bytes,
+                               raw_gz_size, serialize_csv)
 from repro.datasets import TimeSeries
-
-
-def test_binary_round_trip():
-    series = TimeSeries(np.array([1.5, -2.25, 3.75]), start=1_600_000_000,
-                        interval=900, name="x")
-    restored = deserialize_raw(serialize_raw(series), name="x")
-    assert np.array_equal(restored.values, series.values)
-    assert restored.start == series.start
-    assert restored.interval == series.interval
 
 
 def test_csv_has_header_and_one_row_per_point():

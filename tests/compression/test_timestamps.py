@@ -1,8 +1,6 @@
 """Tests for the shared timestamp header codec (Section 3.2)."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.compression import timestamps
 
@@ -24,38 +22,3 @@ def test_interval_must_fit_16_bits():
         timestamps.encode_header(0, 0)
     with pytest.raises(ValueError):
         timestamps.encode_header(0, 1 << 16)
-
-
-def test_length_round_trip():
-    encoded = timestamps.encode_length(42)
-    length, offset = timestamps.decode_length(encoded)
-    assert (length, offset) == (42, 2)
-
-
-def test_length_bounds():
-    with pytest.raises(ValueError):
-        timestamps.encode_length(0)
-    with pytest.raises(ValueError):
-        timestamps.encode_length(timestamps.MAX_SEGMENT_LENGTH + 1)
-
-
-def test_split_lengths_passthrough_when_small():
-    assert timestamps.split_lengths([1, 100, 65535]) == [1, 100, 65535]
-
-
-def test_split_lengths_splits_oversize():
-    parts = timestamps.split_lengths([2 * 65535 + 7])
-    assert parts == [65535, 65535, 7]
-    assert sum(parts) == 2 * 65535 + 7
-
-
-def test_split_lengths_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        timestamps.split_lengths([0])
-
-
-@given(st.lists(st.integers(min_value=1, max_value=300_000), max_size=20))
-def test_split_lengths_preserves_total(lengths):
-    parts = timestamps.split_lengths(lengths)
-    assert sum(parts) == sum(lengths)
-    assert all(0 < p <= timestamps.MAX_SEGMENT_LENGTH for p in parts)

@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.forecasting.base import Forecaster
 from repro.forecasting.ensemble import EnsembleForecaster
-from repro.forecasting.multichannel import ChannelIndependentTrainer
 from repro.forecasting.registry import MODEL_CLASSES, make
 
 
@@ -27,13 +26,6 @@ def test_ensemble_propagates_any_member_flag():
     dlinear = make("DLinear", input_length=24, horizon=6)
     assert EnsembleForecaster([arima, dlinear]).uses_positions is True
     assert EnsembleForecaster([dlinear]).uses_positions is False
-
-
-def test_channel_independent_wrapper_mirrors_base():
-    dlinear = make("DLinear", input_length=24, horizon=6)
-    assert ChannelIndependentTrainer(dlinear).uses_positions is False
-    arima = make("Arima", input_length=24, horizon=6)
-    assert ChannelIndependentTrainer(arima).uses_positions is True
 
 
 def test_flagged_models_accept_positions_end_to_end():

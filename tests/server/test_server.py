@@ -13,8 +13,8 @@ Covers the serving-layer guarantees:
 - overload sheds: saturated batch queues answer 429 + ``Retry-After``
   immediately, expired waits answer 504, nobody rides out the full
   client timeout;
-- terminal grid runs are evicted from memory beyond the tracking window
-  and keep answering their polls from the durable run store;
+- a finished grid run's poll returns its records and manifest from the
+  run store, the daemon's one run ledger;
 - ``/v1/metricz`` reads the daemon's live registry: exact across
   scrapes with or without ``trace_dir``, and a daemon without
   ``trace_dir`` runs with tracing off;
@@ -322,29 +322,30 @@ def test_grid_admission_control_sheds_429():
         client.wait_for_run(second.run_id, timeout=300.0)
 
 
-# -- run eviction + store fall-through ----------------------------------------
+# -- the run store is the one run ledger --------------------------------------
 
 
-def test_terminal_runs_evict_to_the_store():
-    with ReproServer(_config(), port=0, max_tracked_runs=1) as server:
+def test_finished_run_poll_reads_records_and_manifest_from_the_store():
+    with ReproServer(_config(), port=0) as server:
         client = ReproClient(port=server.port)
         first = client.grid(GridRequest(methods=("PMC",)))
         client.wait_for_run(first.run_id, timeout=300.0)
         second = client.grid(GridRequest(methods=("SWING",)))
         client.wait_for_run(second.run_id, timeout=300.0)
-        # the older terminal run left daemon memory ...
-        assert client.healthz().runs == 1
-        with server._runs_lock:
-            assert first.run_id not in server._runs
-            assert second.run_id in server._runs
-        assert client.metricz()["counters"]["server.runs.evicted"] >= 1
-        # ... but its poll falls through to the durable store, records
-        # and manifest included
+        # finished runs hold no admission slot, and the health count is
+        # the store's
+        health = client.healthz()
+        assert health.inflight_runs == 0
+        assert health.runs == server.store.count() == 2
+        # the poll answers with exactly what the store recorded
         recovered = client.run_status(first.run_id)
-        assert recovered.status == "done"
+        stored = server.store.get(first.run_id)
+        assert recovered.status == stored.status == "done"
         assert len(recovered.records) == first.cells
+        assert [encode(r) for r in recovered.records] == stored.records
+        assert json.loads(json.dumps(recovered.manifest)) == stored.manifest
         assert recovered.manifest["total"] > 0
-        # unknown ids still 404 (the fall-through is not a wildcard)
+        # unknown ids still 404
         with pytest.raises(ServerError) as excinfo:
             client.run_status("nope")
         assert excinfo.value.status == 404
