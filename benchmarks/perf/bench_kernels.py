@@ -12,7 +12,11 @@ kernels actually replaced:
   ``reference.sz_encode_block`` over every block and predictor),
 - Huffman pack/unpack (``huffman.encode``/``decode`` vs
   ``reference.huffman_encode``/``huffman_decode`` on a realistic SZ
-  symbol stream).
+  symbol stream),
+- the feature catalogue's hot characteristics on the series' test split
+  (``hurst``, ``holt_parameters`` and ``flat_spots`` vs their
+  ``repro.reference`` twins; the KL shift pair from one shared
+  ``shift.max_shift`` vs one series per name), asserting equal outputs.
 
 Run directly::
 
@@ -102,6 +106,36 @@ def bench_huffman(values: np.ndarray, error_bound: float,
          best_of(lambda: reference.huffman_decode(encoded), repeats))
 
 
+def bench_features(dataset, repeats: int) -> None:
+    from repro import reference
+    from repro.datasets.splits import split
+    from repro.features import shift, smoothing, structure
+
+    values = split(dataset).test.target_series.values
+    for label, kernel, scalar in [
+            ("hurst", structure.hurst, reference.hurst),
+            ("holt_parameters", smoothing.holt_parameters,
+             reference.holt_parameters),
+            ("flat_spots", structure.flat_spots, reference.flat_spots)]:
+        assert np.array_equal(kernel(values), scalar(values),
+                              equal_nan=True), label
+        _row(f"{label:18s} n={len(values)}",
+             best_of(lambda: kernel(values), repeats),
+             best_of(lambda: scalar(values), repeats))
+    # compute_all's default shift window
+    width = int(min(max(dataset.seasonal_period, 10), 256))
+
+    def per_name() -> tuple[float, float]:
+        return (shift.max_kl_shift(values, width),
+                shift.time_kl_shift(values, width))
+
+    assert np.array_equal(shift.max_shift(values, width, "kl"), per_name(),
+                          equal_nan=True)
+    _row(f"KL shift pair      n={len(values)}",
+         best_of(lambda: shift.max_shift(values, width, "kl"), repeats),
+         best_of(per_name, repeats))
+
+
 def _extract_huffman_stream(payload: bytes) -> bytes:
     """Slice the Huffman-coded symbol stream out of an SZ payload."""
     import struct
@@ -129,13 +163,14 @@ def main(argv=None) -> int:
 
     from repro.datasets import synthetic
 
-    values = np.ascontiguousarray(
-        synthetic.ettm1(length=args.length).target_series.values)
+    dataset = synthetic.ettm1(length=args.length)
+    values = np.ascontiguousarray(dataset.target_series.values)
     print(f"ETTm1-like synthetic, n={args.length}, best of {args.repeats}")
     for error_bound in args.error_bounds:
         bench_segmentation(values, error_bound, args.repeats)
         bench_sz_blocks(values, error_bound, args.repeats)
         bench_huffman(values, error_bound, args.repeats)
+    bench_features(dataset, args.repeats)
     return 0
 
 

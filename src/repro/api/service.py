@@ -86,6 +86,11 @@ class ApiService:
             job_retries=self.config.job_retries,
             keep_going=self.config.keep_going)
         self.context = self.scheduler.context
+        # gzip size of each raw source series, the CR denominator, keyed
+        # (dataset, length, part): a pure function of a series the run
+        # context already keeps, so cache-hit batches skip the CSV + gzip.
+        # Unlocked: two batches racing on a miss both store the same int.
+        self._raw_sizes: dict[tuple, int] = {}
         self._lock = threading.RLock()
         self._trace_dir = self.config.trace_dir
         if self._trace_dir is not None:
@@ -215,7 +220,6 @@ class ApiService:
         jobs = [self.compress_job(request) for request in requests]
         values = self.run_jobs(list(jobs))
         envelopes = self._envelopes_by_key()
-        raw_sizes: dict[tuple, int] = {}
         out: list[CompressResponse | ErrorEnvelope] = []
         for request, job in zip(requests, jobs):
             result = values.get(job.key())
@@ -225,8 +229,7 @@ class ApiService:
                     message="job produced no result",
                     description=job.describe()))
                 continue
-            out.append(self._compress_response(request, job, result,
-                                               raw_sizes))
+            out.append(self._compress_response(request, job, result))
         return out
 
     def _source_series(self, job: CompressJob):
@@ -236,12 +239,11 @@ class ApiService:
         return getattr(parts, job.part).target_series
 
     def _compress_response(self, request: CompressRequest, job: CompressJob,
-                           result: CompressionResult,
-                           raw_sizes: dict[tuple, int]) -> CompressResponse:
+                           result: CompressionResult) -> CompressResponse:
         series = self._source_series(job)
         size_key = (job.dataset, job.length, job.part)
-        if size_key not in raw_sizes:
-            raw_sizes[size_key] = raw_gz_size(series)
+        if size_key not in self._raw_sizes:
+            self._raw_sizes[size_key] = raw_gz_size(series)
         te = {}
         for metric in METRICS:
             try:
@@ -254,7 +256,7 @@ class ApiService:
             dataset=request.dataset, method=request.method,
             error_bound=request.error_bound, part=job.part,
             compressed_size=result.compressed_size,
-            compression_ratio=compression_ratio(raw_sizes[size_key],
+            compression_ratio=compression_ratio(self._raw_sizes[size_key],
                                                 result.compressed_size),
             num_segments=result.num_segments, te=te)
 

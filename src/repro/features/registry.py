@@ -12,7 +12,7 @@ built on.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class _Context:
     shift_width: int
     dec: decomposition.Decomposition | None
     holt: tuple[float, float]
+    #: (largest shift, its offset) per statistic, filled on first use
+    shifts: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
 def _build_context(values: np.ndarray, period: int,
@@ -55,17 +57,29 @@ def _dec_feature(fn: Callable[[decomposition.Decomposition], float]
     return wrapped
 
 
+def _shift_feature(statistic: str, which: int
+                   ) -> Callable[[_Context], float]:
+    """``max_*`` (``which=0``) or ``time_*`` (``which=1``) of one shift
+    statistic; the pair shares one shift series per context."""
+    def wrapped(ctx: _Context) -> float:
+        if statistic not in ctx.shifts:
+            ctx.shifts[statistic] = shift.max_shift(
+                ctx.values, ctx.shift_width, statistic)
+        return ctx.shifts[statistic][which]
+    return wrapped
+
+
 FEATURES: dict[str, Callable[[_Context], float]] = {
     # basic moments
     "mean": lambda c: float(np.mean(c.values)),
     "var": lambda c: float(np.var(c.values)),
     # distribution shifts between consecutive windows
-    "max_kl_shift": lambda c: shift.max_kl_shift(c.values, c.shift_width),
-    "time_kl_shift": lambda c: shift.time_kl_shift(c.values, c.shift_width),
-    "max_level_shift": lambda c: shift.max_level_shift(c.values, c.shift_width),
-    "time_level_shift": lambda c: shift.time_level_shift(c.values, c.shift_width),
-    "max_var_shift": lambda c: shift.max_var_shift(c.values, c.shift_width),
-    "time_var_shift": lambda c: shift.time_var_shift(c.values, c.shift_width),
+    "max_kl_shift": _shift_feature("kl", 0),
+    "time_kl_shift": _shift_feature("kl", 1),
+    "max_level_shift": _shift_feature("level", 0),
+    "time_level_shift": _shift_feature("level", 1),
+    "max_var_shift": _shift_feature("variance", 0),
+    "time_var_shift": _shift_feature("variance", 1),
     # autocorrelation structure
     "x_acf1": lambda c: autocorr.x_acf1(c.values),
     "x_acf10": lambda c: autocorr.x_acf10(c.values),

@@ -58,8 +58,13 @@ def _kl_shift_series(values: np.ndarray, width: int,
     return np.sum(p * np.log(p / q), axis=1)
 
 
-def _max_shift(values: np.ndarray, width: int, statistic: str
-               ) -> tuple[float, float]:
+def max_shift(values: np.ndarray, width: int, statistic: str
+              ) -> tuple[float, float]:
+    """Largest ``statistic`` shift and the offset where it occurs.
+
+    ``statistic`` is ``"kl"``, ``"level"`` or ``"variance"``; series
+    shorter than two windows give ``(nan, nan)``.
+    """
     values = np.asarray(values, dtype=np.float64)
     if len(values) < 2 * width:
         return float("nan"), float("nan")
@@ -70,29 +75,29 @@ def _max_shift(values: np.ndarray, width: int, statistic: str
 
 def max_kl_shift(values: np.ndarray, width: int = 48) -> float:
     """Largest KL divergence between consecutive windows (MKLS)."""
-    return _max_shift(values, width, "kl")[0]
+    return max_shift(values, width, "kl")[0]
 
 
 def time_kl_shift(values: np.ndarray, width: int = 48) -> float:
     """Offset at which the largest KL shift occurs."""
-    return _max_shift(values, width, "kl")[1]
+    return max_shift(values, width, "kl")[1]
 
 
 def max_level_shift(values: np.ndarray, width: int = 48) -> float:
     """Largest jump of the rolling mean between consecutive windows (MLS)."""
-    return _max_shift(values, width, "level")[0]
+    return max_shift(values, width, "level")[0]
 
 
 def time_level_shift(values: np.ndarray, width: int = 48) -> float:
     """Offset at which the largest level shift occurs."""
-    return _max_shift(values, width, "level")[1]
+    return max_shift(values, width, "level")[1]
 
 
 def max_var_shift(values: np.ndarray, width: int = 48) -> float:
     """Largest jump of the rolling variance between consecutive windows (MVS)."""
-    return _max_shift(values, width, "variance")[0]
+    return max_shift(values, width, "variance")[0]
 
 
 def time_var_shift(values: np.ndarray, width: int = 48) -> float:
     """Offset at which the largest variance shift occurs."""
-    return _max_shift(values, width, "variance")[1]
+    return max_shift(values, width, "variance")[1]

@@ -10,18 +10,39 @@ from __future__ import annotations
 import numpy as np
 
 
-def _holt_sse(values: np.ndarray, alpha: float, beta: float) -> float:
-    level = values[0]
-    trend = values[1] - values[0]
-    sse = 0.0
+def _holt_sse(values: np.ndarray, alphas: np.ndarray, betas: np.ndarray
+              ) -> np.ndarray:
+    """One-step-ahead SSE of every (alpha, beta) cell in one recursion.
+
+    The cells advance together through the series, each in the same
+    float64 operation order as a single-cell recursion, so every entry is
+    the SSE that cell alone would accumulate (overflow to inf and NaN
+    included).
+    """
+    level = np.full(len(alphas), values[0])
+    trend = np.full(len(alphas), values[1] - values[0])
+    sse = np.zeros(len(alphas))
+    keep_alpha = 1.0 - alphas
+    keep_beta = 1.0 - betas
     for value in values[1:]:
         forecast = level + trend
         error = value - forecast
         sse += error * error
-        new_level = alpha * value + (1.0 - alpha) * (level + trend)
-        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        new_level = alphas * value + keep_alpha * forecast
+        trend = betas * (new_level - level) + keep_beta * trend
         level = new_level
     return sse
+
+
+def _best_cell(best: tuple[float, float, float], sse: np.ndarray,
+               alphas: np.ndarray, betas: np.ndarray
+               ) -> tuple[float, float, float]:
+    """Fold the cells in order with strict ``<``: ties keep the earlier
+    cell, and inf or NaN never displace a finite best."""
+    for cell_sse, alpha, beta in zip(sse, alphas, betas):
+        if cell_sse < best[0]:
+            best = (cell_sse, alpha, beta)
+    return best
 
 
 def holt_parameters(values: np.ndarray, max_points: int = 500
@@ -33,30 +54,16 @@ def holt_parameters(values: np.ndarray, max_points: int = 500
     if len(values) > max_points:
         stride = len(values) // max_points
         values = values[::stride][:max_points]
-    best = (float("inf"), 0.5, 0.1)
     grid = np.linspace(0.05, 0.95, 7)
-    for alpha in grid:
-        for beta in grid:
-            sse = _holt_sse(values, alpha, beta)
-            if sse < best[0]:
-                best = (sse, alpha, beta)
+    # alpha-major cell order, as the nested grid loops would visit them
+    alphas, betas = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    best = _best_cell((float("inf"), 0.5, 0.1),
+                      _holt_sse(values, alphas, betas), alphas, betas)
     # refine around the best cell
     _, alpha0, beta0 = best
     fine_alpha = np.clip(np.linspace(alpha0 - 0.1, alpha0 + 0.1, 5), 0.01, 0.99)
     fine_beta = np.clip(np.linspace(beta0 - 0.1, beta0 + 0.1, 5), 0.01, 0.99)
-    for alpha in fine_alpha:
-        for beta in fine_beta:
-            sse = _holt_sse(values, alpha, beta)
-            if sse < best[0]:
-                best = (sse, alpha, beta)
+    alphas = np.repeat(fine_alpha, len(fine_beta))
+    betas = np.tile(fine_beta, len(fine_alpha))
+    best = _best_cell(best, _holt_sse(values, alphas, betas), alphas, betas)
     return float(best[1]), float(best[2])
-
-
-def hs_alpha(values: np.ndarray) -> float:
-    """Holt smoothing parameter for the level."""
-    return holt_parameters(values)[0]
-
-
-def hs_beta(values: np.ndarray) -> float:
-    """Holt smoothing parameter for the trend."""
-    return holt_parameters(values)[1]

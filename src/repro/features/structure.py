@@ -27,7 +27,12 @@ def spectral_entropy(values: np.ndarray) -> float:
 
 
 def hurst(values: np.ndarray) -> float:
-    """Hurst exponent via rescaled-range analysis over dyadic splits."""
+    """Hurst exponent via rescaled-range analysis over dyadic splits.
+
+    Each chunk size reshapes the first ``chunks * size`` points into one
+    row per chunk, so the per-chunk mean, cumulative deviation, range and
+    standard deviation are axis reductions.
+    """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if n < 32:
@@ -36,18 +41,15 @@ def hurst(values: np.ndarray) -> float:
     rs = []
     size = 16
     while size <= n // 2:
-        chunks = n // size
-        ratios = []
-        for c in range(chunks):
-            chunk = values[c * size:(c + 1) * size]
-            deviations = np.cumsum(chunk - chunk.mean())
-            spread = float(deviations.max() - deviations.min())
-            scale = float(chunk.std())
-            if scale > 0:
-                ratios.append(spread / scale)
-        if ratios:
+        chunks = values[:n // size * size].reshape(-1, size)
+        deviations = np.cumsum(chunks - chunks.mean(axis=1, keepdims=True),
+                               axis=1)
+        spread = deviations.max(axis=1) - deviations.min(axis=1)
+        scale = chunks.std(axis=1)
+        kept = scale > 0
+        if kept.any():
             sizes.append(size)
-            rs.append(np.mean(ratios))
+            rs.append(np.mean(spread[kept] / scale[kept]))
         size *= 2
     if len(sizes) < 2:
         return float("nan")
@@ -113,11 +115,10 @@ def flat_spots(values: np.ndarray, buckets: int = 10) -> float:
         return float(len(values))
     edges = np.quantile(values, np.linspace(0, 1, buckets + 1)[1:-1])
     labels = np.searchsorted(edges, values, side="left")
-    longest = current = 1
-    for previous, label in zip(labels[:-1], labels[1:]):
-        current = current + 1 if label == previous else 1
-        longest = max(longest, current)
-    return float(longest)
+    # runs start at index 0 and wherever the label changes
+    starts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    bounds = np.concatenate(([0], starts, [len(labels)]))
+    return float(np.diff(bounds).max())
 
 
 def crossing_points(values: np.ndarray) -> float:

@@ -1,4 +1,5 @@
-"""Scalar reference implementations of the vectorized codecs and models.
+"""Scalar reference implementations of the vectorized codecs, models and
+characteristics.
 
 Every grid codec and forecaster has one production path: the array
 kernels in ``repro.compression.kernels``, the codec modules themselves,
@@ -12,17 +13,21 @@ LFZip; the order sweep and the in-window innovation filter for ARIMA —
 so it returns the same result type through the slow path.  The deep
 models' reference twins train and predict on the unfused autograd graph
 (``repro.forecasting.nn.kernels.use(False)``), the generic engine the
-fused kernels replay node for node.  The equivalence suites
-(``tests/compression/test_kernels.py``, ``test_cameo.py``,
-``test_lfzip.py``, ``tests/encoding/test_huffman.py``,
-``tests/forecasting/test_kernels.py``) assert byte identity, and
-``repro-eval bench`` times each codec and model against its reference.
+fused kernels replay node for node.  The feature catalogue's hot
+characteristics have function twins with the production signatures:
+``hurst`` (one rescaled-range chunk at a time), ``holt_parameters`` (one
+``holt_sse`` pass per grid cell) and ``flat_spots`` (one label at a
+time).  The equivalence suites (``tests/compression/test_kernels.py``,
+``test_cameo.py``, ``test_lfzip.py``, ``tests/encoding/test_huffman.py``,
+``tests/forecasting/test_kernels.py``, ``tests/features/test_kernels.py``)
+assert byte or bit identity, and ``repro-eval bench`` and
+``benchmarks/perf`` time each kernel against its reference.
 
 The classes are not registered, so registry queries, CLI choices and
-schema enums only ever see the production codecs and models.  Tests and
-benchmarks are the only importers; ``make_compressor("PMC")`` and
-``make_forecaster("GRU")`` build the reference twin of a registered codec
-or model by name.
+schema enums only ever see the production codecs and models, and
+``compute_all`` only ever runs the kernels.  Tests and benchmarks are the
+only importers; ``make_compressor("PMC")`` and ``make_forecaster("GRU")``
+build the reference twin of a registered codec or model by name.
 """
 
 from __future__ import annotations
@@ -439,6 +444,96 @@ class ReferenceArima(ArimaForecaster):
                 prediction += model.ma[j - 1] * innovations[:, t - j]
             innovations[:, t] = differenced[:, t] - prediction
         return innovations
+
+
+# --- feature catalogue: per-chunk, per-cell and per-point loops
+
+
+def hurst(values: np.ndarray) -> float:
+    """:func:`repro.features.structure.hurst`, one chunk at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    if n < 32:
+        return float("nan")
+    sizes = []
+    rs = []
+    size = 16
+    while size <= n // 2:
+        chunks = n // size
+        ratios = []
+        for c in range(chunks):
+            chunk = values[c * size:(c + 1) * size]
+            deviations = np.cumsum(chunk - chunk.mean())
+            spread = float(deviations.max() - deviations.min())
+            scale = float(chunk.std())
+            if scale > 0:
+                ratios.append(spread / scale)
+        if ratios:
+            sizes.append(size)
+            rs.append(np.mean(ratios))
+        size *= 2
+    if len(sizes) < 2:
+        return float("nan")
+    slope = np.polyfit(np.log(sizes), np.log(rs), 1)[0]
+    return float(slope)
+
+
+def holt_sse(values: np.ndarray, alpha: float, beta: float) -> float:
+    """One-step-ahead SSE of one (alpha, beta) cell, one point at a time."""
+    level = values[0]
+    trend = values[1] - values[0]
+    sse = 0.0
+    for value in values[1:]:
+        forecast = level + trend
+        error = value - forecast
+        sse += error * error
+        new_level = alpha * value + (1.0 - alpha) * (level + trend)
+        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        level = new_level
+    return sse
+
+
+def holt_parameters(values: np.ndarray, max_points: int = 500
+                    ) -> tuple[float, float]:
+    """:func:`repro.features.smoothing.holt_parameters`, one
+    :func:`holt_sse` pass per grid cell."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) < 4:
+        return float("nan"), float("nan")
+    if len(values) > max_points:
+        stride = len(values) // max_points
+        values = values[::stride][:max_points]
+    best = (float("inf"), 0.5, 0.1)
+    grid = np.linspace(0.05, 0.95, 7)
+    for alpha in grid:
+        for beta in grid:
+            sse = holt_sse(values, alpha, beta)
+            if sse < best[0]:
+                best = (sse, alpha, beta)
+    # refine around the best cell
+    _, alpha0, beta0 = best
+    fine_alpha = np.clip(np.linspace(alpha0 - 0.1, alpha0 + 0.1, 5), 0.01, 0.99)
+    fine_beta = np.clip(np.linspace(beta0 - 0.1, beta0 + 0.1, 5), 0.01, 0.99)
+    for alpha in fine_alpha:
+        for beta in fine_beta:
+            sse = holt_sse(values, alpha, beta)
+            if sse < best[0]:
+                best = (sse, alpha, beta)
+    return float(best[1]), float(best[2])
+
+
+def flat_spots(values: np.ndarray, buckets: int = 10) -> float:
+    """:func:`repro.features.structure.flat_spots`, one label at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) < 2:
+        return float(len(values))
+    edges = np.quantile(values, np.linspace(0, 1, buckets + 1)[1:-1])
+    labels = np.searchsorted(edges, values, side="left")
+    longest = current = 1
+    for previous, label in zip(labels[:-1], labels[1:]):
+        current = current + 1 if label == previous else 1
+        longest = max(longest, current)
+    return float(longest)
 
 
 # --- deep models: the unfused autograd graph

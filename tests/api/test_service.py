@@ -53,6 +53,39 @@ def test_duplicate_requests_collapse_to_one_job(service):
     assert all(r == responses[0] for r in responses)
 
 
+def test_raw_size_is_computed_once_per_series_across_batches(
+        service, monkeypatch):
+    from repro.api import codec
+    from repro.api import service as service_module
+    from repro.compression import make, raw_gz_size
+    from repro.compression.serialize import compression_ratio
+
+    calls = []
+
+    def counting_raw_gz_size(series):
+        calls.append(series)
+        return raw_gz_size(series)
+
+    monkeypatch.setattr(service_module, "raw_gz_size", counting_raw_gz_size)
+    first = service.compress_batch([CompressRequest("ETTm1", "PMC", 0.1)])
+    second = service.compress_batch([CompressRequest("ETTm1", "SWING", 0.1),
+                                     CompressRequest("ETTm1", "PMC", 0.4)])
+    assert len(calls) == 1
+
+    series = service.dataset("ETTm1").target_series
+    for response in first + second:
+        result = make(response.method).compress(series,
+                                                response.error_bound)
+        expected = CompressResponse(
+            dataset="ETTm1", method=response.method,
+            error_bound=response.error_bound, part="full",
+            compressed_size=result.compressed_size,
+            compression_ratio=compression_ratio(raw_gz_size(series),
+                                                result.compressed_size),
+            num_segments=result.num_segments, te=response.te)
+        assert codec.dumps(response) == codec.dumps(expected)
+
+
 def test_grid_requests_expand_in_record_order(service):
     requests = service.grid_requests(GridRequest(
         datasets=("ETTm1",), models=("GBoost",),

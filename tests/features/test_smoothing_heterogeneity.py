@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.features.heterogeneity import arch_acf, arch_r2
-from repro.features.smoothing import holt_parameters, hs_alpha, hs_beta
+from repro.features.smoothing import holt_parameters
 
 
 def test_holt_on_strong_trend_prefers_high_beta_region():
@@ -33,13 +33,6 @@ def test_holt_subsamples_long_series():
     long_series = rng.normal(0, 1, 50_000)
     alpha, beta = holt_parameters(long_series)  # must return quickly
     assert np.isfinite(alpha) and np.isfinite(beta)
-
-
-def test_hs_wrappers_match_holt_parameters():
-    rng = np.random.default_rng(3)
-    values = rng.normal(0, 1, 200).cumsum()
-    assert hs_alpha(values) == holt_parameters(values)[0]
-    assert hs_beta(values) == holt_parameters(values)[1]
 
 
 def garch_like(n=3000, seed=4):
