@@ -149,6 +149,11 @@ def _align(offset: int) -> int:
     return (offset + _ALIGNMENT - 1) & ~(_ALIGNMENT - 1)
 
 
+#: leaf types a flat list or tuple encodes as ``{"s": v}`` nodes in one pass
+#: (exact types: a numpy scalar subclasses float but pickles instead)
+_PLAIN_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
 def _encode(value: Any, columns: list[bytes]) -> Any:
     """Build the header tree for ``value``, appending binary columns."""
     if isinstance(value, np.generic):
@@ -168,6 +173,8 @@ def _encode(value: Any, columns: list[bytes]) -> Any:
         return {"b": len(columns) - 1}
     if isinstance(value, (list, tuple)):
         tag = "l" if isinstance(value, list) else "t"
+        if _PLAIN_SCALARS.issuperset(map(type, value)):
+            return {tag: [{"s": item} for item in value]}
         return {tag: [_encode(item, columns) for item in value]}
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         return {"d": {k: _encode(v, columns) for k, v in value.items()}}

@@ -17,10 +17,13 @@ fused kernels replay node for node.  The feature catalogue's hot
 characteristics have function twins with the production signatures:
 ``hurst`` (one rescaled-range chunk at a time), ``holt_parameters`` (one
 ``holt_sse`` pass per grid cell) and ``flat_spots`` (one label at a
-time).  The equivalence suites (``tests/compression/test_kernels.py``,
-``test_cameo.py``, ``test_lfzip.py``, ``tests/encoding/test_huffman.py``,
-``tests/forecasting/test_kernels.py``, ``tests/features/test_kernels.py``)
-assert byte or bit identity, and ``repro-eval bench`` and
+time).  The API schema's one-pass array check has the per-element walk
+``validate`` as its twin.  The equivalence suites
+(``tests/compression/test_kernels.py``, ``test_cameo.py``,
+``test_lfzip.py``, ``tests/encoding/test_huffman.py``,
+``tests/forecasting/test_kernels.py``, ``tests/features/test_kernels.py``,
+``tests/api/test_schema.py``) assert byte or bit identity (the same
+verdict and error, for the schema), and ``repro-eval bench`` and
 ``benchmarks/perf`` time each kernel against its reference.
 
 The classes are not registered, so registry queries, CLI choices and
@@ -34,8 +37,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
+
+from repro.api.errors import ValidationError
+from repro.api.schema import _TYPE_CHECKS, SCHEMAS
 
 from repro.compression import lfzip, sz
 from repro.compression.base import Compressor
@@ -534,6 +541,45 @@ def flat_spots(values: np.ndarray, buckets: int = 10) -> float:
         current = current + 1 if label == previous else 1
         longest = max(longest, current)
     return float(longest)
+
+
+# --- API schema: one element at a time
+
+
+def validate(value: Any, schema: dict, path: str = "$") -> None:
+    """:func:`repro.api.schema.validate`, recursing once per element."""
+    if "$ref" in schema:
+        target = SCHEMAS.get(schema["$ref"])
+        if target is None:
+            raise ValidationError(f"unknown $ref {schema['$ref']!r}",
+                                  key=path)
+        validate(value, target, path)
+        return
+    if "enum" in schema:
+        if value not in schema["enum"]:
+            raise ValidationError(
+                f"{path}: {value!r} not in {schema['enum']}", key=path)
+        return
+    kinds = schema.get("type")
+    kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds or ())
+    if kinds and not any(_TYPE_CHECKS[kind](value) for kind in kinds):
+        raise ValidationError(
+            f"{path}: expected {' or '.join(kinds)}, "
+            f"got {type(value).__name__}", key=path)
+    if isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                raise ValidationError(f"{path}: missing required field "
+                                      f"{name!r}", key=path)
+        for name, sub in schema.get("properties", {}).items():
+            if name in value:
+                validate(value[name], sub, f"{path}.{name}")
+        if "values" in schema:
+            for name, item in value.items():
+                validate(item, schema["values"], f"{path}.{name}")
+    elif isinstance(value, list) and "items" in schema:
+        for index, item in enumerate(value):
+            validate(item, schema["items"], f"{path}[{index}]")
 
 
 # --- deep models: the unfused autograd graph

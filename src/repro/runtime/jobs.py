@@ -79,7 +79,7 @@ def freeze_kwargs(kwargs: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
 
 
 class RuntimeContext:
-    """Per-process cache of datasets, splits, and raw-series features.
+    """Per-process cache of datasets, splits, and raw-series results.
 
     Jobs receive a context instead of loading datasets themselves so that
     one process (the serial executor, or each pool worker) instantiates a
@@ -90,6 +90,7 @@ class RuntimeContext:
         self._datasets: dict[tuple[str, int | None], Dataset] = {}
         self._splits: dict[tuple[str, int | None], Split] = {}
         self._raw_features: dict[tuple[str, int | None], dict[str, float]] = {}
+        self._raw_detections: dict[tuple, tuple[int, ...]] = {}
 
     def dataset(self, name: str, length: int | None) -> Dataset:
         key = (name, length)
@@ -114,6 +115,21 @@ class RuntimeContext:
             self._raw_features[key] = compute_all(raw,
                                                   dataset.seasonal_period)
         return self._raw_features[key]
+
+    def raw_detections(self, detector, model: str,
+                       model_kwargs: tuple[tuple[str, Any], ...],
+                       name: str, length: int | None) -> tuple[int, ...]:
+        """``detector``'s detections on the raw test split (memoized).
+
+        A detector is a pure function of its registered ``model`` name and
+        ``model_kwargs``, so every cell that scores it on one dataset
+        shares one ground truth.
+        """
+        key = (model, model_kwargs, name, length)
+        if key not in self._raw_detections:
+            raw = self.split(name, length).test.target_series.values
+            self._raw_detections[key] = tuple(detector.detect(raw))
+        return self._raw_detections[key]
 
 
 @dataclass(frozen=True)

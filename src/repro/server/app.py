@@ -77,7 +77,6 @@ from repro.api.requests import (API_VERSION, CompressRequest, ForecastRequest,
                                 TraceRequest)
 from repro.api.responses import (ForecastResponse, GridSubmitResponse,
                                  HealthResponse, RunStatusResponse)
-from repro.api.schema import validate_payload
 from repro.api.service import ApiService
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -321,6 +320,9 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
         # one keep-alive-friendly protocol version; clients may still
         # close per request
         protocol_version = "HTTP/1.1"
+        # buffered writes: the status line, headers and body of a response
+        # leave in one send when the handler flushes after the route
+        wbufsize = 1 << 16
 
         # -- plumbing ------------------------------------------------------
 
@@ -353,9 +355,6 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
             except json.JSONDecodeError as error:
                 raise ValidationError(f"invalid JSON body: {error}",
                                       key="body") from error
-            validate_payload(payload)
-            from repro.api.codec import decode
-
             return decode(payload, expect=expect).validate()
 
         def _dispatch(self, method: str) -> None:
@@ -468,14 +467,17 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
             # existence/expiry check BEFORE committing to a streamed
             # response: an unknown session is still a plain 404 payload
             sessions.status(session_id)
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Transfer-Encoding", "chunked")
-            self.send_header("Connection", "close")
-            self.end_headers()
             self.close_connection = True
             status = 200
             try:
+                self.send_response(200)
+                self.send_header("Content-Type", "application/x-ndjson")
+                self.send_header("Transfer-Encoding", "chunked")
+                self.send_header("Connection", "close")
+                self.end_headers()
+                # the buffered wfile holds the headers until a flush; a
+                # client gone already is a disconnect like any other
+                self.wfile.flush()
                 self.connection.settimeout(server.request_timeout_s)
                 for line in self._body_lines():
                     response = sessions.push(session_id,

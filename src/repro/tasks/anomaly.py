@@ -13,7 +13,9 @@ The job rides the existing content-hashed task graph: its dependencies
 are the very same ``CompressJob(part="test")`` the forecasting cells use
 and the ``FeatureJob`` of that cell, so a grid compresses each (dataset,
 method, bound) cell exactly once and computes its characteristics once,
-however many detectors score it.
+however many detectors score it.  The ground truth is memoized per
+process too (:meth:`~repro.runtime.jobs.RuntimeContext.raw_detections`):
+each detector runs on a dataset's raw test split once, not once per cell.
 
 Module-level import rule: like :mod:`repro.runtime.jobs` this module is
 imported inside queue-backend worker processes when an ``AnomalyJob``
@@ -78,14 +80,11 @@ class AnomalyJob(JobSpec):
             ) -> "ScenarioRecord":
         from repro.core.results import ScenarioRecord
 
-        raw = ctx.split(self.dataset, self.length).test.target_series.values
         detector = make_detector(self.model, **dict(self.model_kwargs))
         transform = self.transform_job()
         if transform is None:
-            values = raw
             drift = 0.0
         else:
-            values = deps[transform.key()].decompressed.values
             # mean |relative characteristic difference| vs the raw split
             deltas = deps[self.feature_job().key()]
             finite = [abs(v) for v in deltas.values() if np.isfinite(v)]
@@ -93,8 +92,14 @@ class AnomalyJob(JobSpec):
         with obs_trace.span("anomaly.detect", model=self.model,
                             dataset=self.dataset, method=self.method,
                             error_bound=self.error_bound):
-            truth = detector.detect(raw)
-            detected = detector.detect(values)
+            truth = ctx.raw_detections(detector, self.model,
+                                       self.model_kwargs, self.dataset,
+                                       self.length)
+            if transform is None:
+                detected = truth
+            else:
+                detected = detector.detect(
+                    deps[transform.key()].decompressed.values)
         hits, false_alarms, misses = match_detections(truth, detected,
                                                       tolerance=self.tolerance)
         metrics = {

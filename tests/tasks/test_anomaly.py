@@ -175,6 +175,40 @@ def test_detectors_share_one_feature_computation_per_cell(monkeypatch):
     assert len(calls) == cells + 1
 
 
+def test_each_detector_runs_on_the_raw_split_once_per_grid(monkeypatch):
+    """The ground truth is memoized per detector: a RAW cell reuses it as
+    its own detections, and each compressed cell adds one detect call."""
+    from repro.tasks.detectors import ZScoreDetector
+
+    calls = []
+    for cls in (MeanShiftDetector, ZScoreDetector):
+        original = cls.detect
+
+        def counting(self, values, original=original):
+            calls.append(type(self).__name__)
+            return original(self, values)
+
+        monkeypatch.setattr(cls, "detect", counting)
+    methods = ("PMC", "SWING")
+    records, _ = ApiService(_config(compressors=methods)).grid(
+        GridRequest(models=("MeanShift", "ZScore"), task="anomaly"))
+    assert sum(r.method == RAW for r in records) == 2
+    # per detector: one raw truth plus one call per compressed cell
+    assert len(calls) == 2 * (1 + len(methods))
+
+
+def test_memoized_truth_is_keyed_by_detector_kwargs():
+    shared = RuntimeContext()
+    events = {}
+    for kwargs in ((("window", 20),), (("window", 100),), ()):
+        job = AnomalyJob("MeanShift", "ETTm1", 1_200, model_kwargs=kwargs)
+        record = job.run(shared, {})
+        assert record == job.run(RuntimeContext(), {})
+        events[kwargs] = record.metrics["true_events"]
+    # a shared context still gives each kwargs its own ground truth
+    assert events[(("window", 20),)] > events[(("window", 100),)]
+
+
 def test_retrained_anomaly_grid_is_rejected():
     from repro.api.errors import ValidationError
 
