@@ -38,9 +38,9 @@ class EvaluationConfig:
     metric: str = "NRMSE"
     #: directory for trained-model/compression caches (None = no cache)
     cache_dir: str | None = ".cache"
-    #: worker count for the task-graph executor; with the default backend,
-    #: 1 = serial execution in-process (bit-identical to the historical
-    #: orchestration) and >1 = a process pool of this size
+    #: worker count for the task-graph scheduler; with the default backend,
+    #: 1 = the inline serial backend (attempts run one at a time on the
+    #: caller's thread) and >1 = a process pool of this size
     max_workers: int = 1
     #: execution backend: "auto" (serial/pool by ``max_workers``),
     #: "serial", "pool", or "queue" (durable SQLite job queue with

@@ -5,8 +5,8 @@ probing, dependency tracking, retry/timeout policy, keep-going subtree
 isolation, and manifest accounting; a backend owns only *where job
 attempts physically run*:
 
-- :class:`~repro.runtime.backends.serial.SerialBackend` — in this
-  process, one at a time (bit-identical with historical behaviour);
+- :class:`~repro.runtime.backends.serial.SerialBackend` — inline, in
+  this process on the scheduler's thread, one attempt at a time;
 - :class:`~repro.runtime.backends.pool.PoolBackend` — a
   ``concurrent.futures`` process pool with ``BrokenProcessPool``
   restart-and-resubmit;
@@ -16,13 +16,11 @@ attempts physically run*:
   claims, heartbeats, and dead-worker reclaim; results are coordinated
   through the shared content-addressed ``DiskCache``.
 
-The contract is event-based: the scheduler calls :meth:`submit` for each
-ready job and :meth:`wait` for the next batch of
-:class:`CompletionEvent`\\ s; the backend never interprets outcomes — it
-reports them, and the scheduler applies retry budgets, failure
-bookkeeping, and subtree skips uniformly across all three backends.
-``run_sync`` is the shared in-process execution primitive used for the
-serial path (and for degenerate one-job runs on any backend).
+The contract is event-based and the same for all three: the scheduler's
+one wavefront loop calls :meth:`submit` for each ready job and
+:meth:`wait` for the next batch of :class:`CompletionEvent`\\ s; the
+backend never interprets outcomes — it reports them, and the scheduler
+applies retry budgets, failure bookkeeping, and subtree skips uniformly.
 """
 
 from __future__ import annotations
@@ -81,27 +79,17 @@ class ExecutionBackend:
 
     Lifecycle per run: ``bind(scheduler)`` once at construction wiring,
     then ``start(graph)`` → N×``submit`` interleaved with ``wait`` →
-    ``finish()`` (always called, also on fail-fast abort).  A backend
-    with ``concurrency <= 1`` is only ever driven through ``run_sync``.
+    ``finish()`` (always called, also on fail-fast abort).
     """
 
     #: backend name as surfaced in manifests and ``--backend``
     name: str = "?"
-    #: maximum concurrently-executing jobs (1 = scheduler runs serially)
+    #: maximum concurrently-executing jobs
     concurrency: int = 1
 
     def bind(self, scheduler: "Scheduler") -> None:
         """Attach the owning scheduler (context, cache, timeout policy)."""
         self.scheduler = scheduler
-
-    # -- synchronous path ------------------------------------------------------
-
-    def run_sync(self, job: JobSpec, deps: dict[str, Any]) -> tuple[Any, float]:
-        """Execute one attempt in-process; returns (value, seconds)."""
-        return timed_run(job, self.scheduler.context, deps,
-                         self.scheduler.job_timeout)
-
-    # -- concurrent path -------------------------------------------------------
 
     def start(self, graph: Any) -> None:
         """Acquire run resources (pool processes, queue workers)."""

@@ -1,16 +1,23 @@
 """In-process serial execution backend.
 
-``concurrency == 1`` means the scheduler never drives this backend
-through the concurrent wavefront — every attempt goes through the shared
-``run_sync`` primitive on the scheduler's own thread, preserving the
-historical recursive-materialization order bit-for-bit (and keeping
-``SIGALRM`` deadline enforcement available, since attempts run on the
-main thread whenever the caller does).
+The inline backend of the scheduler's one wavefront loop: ``submit``
+queues an attempt and ``wait`` runs the oldest queued attempt on the
+caller's thread, so attempts run one at a time in submission order.
+Running on the scheduler's thread keeps ``SIGALRM`` deadline enforcement
+available whenever the caller is the main thread.  Each attempt opens the
+``job`` span itself and reports ``queue_wait_s=0.0``: an inline attempt
+never waits for a worker.
 """
 
 from __future__ import annotations
 
-from repro.runtime.backends import ExecutionBackend
+from collections import deque
+from typing import Any
+
+from repro.obs import trace as obs_trace
+from repro.runtime.backends import CompletionEvent, ExecutionBackend, timed_run
+from repro.runtime.jobs import JobSpec
+from repro.runtime.manifest import attempt_outcome
 
 
 class SerialBackend(ExecutionBackend):
@@ -18,3 +25,27 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
     concurrency = 1
+
+    def __init__(self) -> None:
+        self._queued: deque[tuple[str, JobSpec, dict[str, Any], int]] = deque()
+
+    def submit(self, key: str, job: JobSpec, deps: dict[str, Any],
+               attempt: int) -> None:
+        self._queued.append((key, job, deps, attempt))
+
+    def wait(self) -> list[CompletionEvent]:
+        key, job, deps, attempt = self._queued.popleft()
+        span = obs_trace.span("job", kind=job.kind, key=key, attempt=attempt,
+                              queue_wait_s=0.0)
+        try:
+            with span:
+                value, seconds = timed_run(job, self.scheduler.context, deps,
+                                           self.scheduler.job_timeout)
+        except Exception as error:
+            return [CompletionEvent(key, attempt_outcome(error), error=error,
+                                    queue_wait_s=0.0)]
+        return [CompletionEvent(key, "ok", value=value, execute_s=seconds,
+                                queue_wait_s=0.0)]
+
+    def finish(self) -> None:
+        self._queued.clear()

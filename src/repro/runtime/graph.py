@@ -50,11 +50,6 @@ class TaskGraph:
     def dependencies(self, key: str) -> tuple[str, ...]:
         return self._dependencies[key]
 
-    def dependents(self, key: str) -> tuple[str, ...]:
-        """Keys of jobs that consume ``key``'s result (insertion order)."""
-        return tuple(consumer for consumer, deps in self._dependencies.items()
-                     if key in deps)
-
     @property
     def targets(self) -> tuple[str, ...]:
         """Keys of directly-requested jobs, in insertion order."""

@@ -128,6 +128,41 @@ def test_warm_rerun_is_fully_cached_on_every_backend(tmp_path, backend):
     assert manifest.cached == manifest.total == 1  # pruned behind the target
 
 
+def test_single_worker_queue_runs_through_the_queue(tmp_path):
+    """``--backend queue --workers 1`` executes on queue workers: the
+    queue file exists and every attempt carries a measured queue wait."""
+    backend = QueueBackend(max_workers=1, poll_interval_s=0.02)
+    values, manifest = run_diamond(tmp_path, backend)
+    _, _, _, top = diamond()
+    assert values[top.key()] == 1112
+    assert manifest.backend == "queue"
+    assert os.path.exists(tmp_path / "queue.sqlite")
+    assert len(manifest.attempts) == 4
+    assert all(a.queue_wait_s is not None for a in manifest.attempts)
+
+
+@pytest.mark.parametrize("backend", ("serial", "pool"))
+def test_corrupt_cached_dependency_is_recomputed_on_the_backend(tmp_path,
+                                                                 backend):
+    base, left, right, top = diamond()
+    graph = TaskGraph()
+    graph.add(top)
+    Scheduler(DiskCache(str(tmp_path))).run(graph, targets=(left.key(),))
+    cache = DiskCache(str(tmp_path))
+    with open(cache._path(left.key()), "wb") as handle:
+        handle.write(b"truncated garbage")
+
+    executor = Scheduler(cache, backend=make_backend(backend, max_workers=2))
+    values = executor.run(graph)
+    manifest = executor.last_manifest
+    assert values[top.key()] == 1112
+    assert manifest.executed == 3  # top, right, and the revoked left
+    assert manifest.cached == 1  # base
+    assert not manifest.failures
+    executed = {a.key for a in manifest.attempts if a.outcome == "ok"}
+    assert executed == {top.key(), right.key(), left.key()}
+
+
 # -- dead-worker recovery (the queue backend's reason to exist) ----------------
 
 
@@ -188,8 +223,7 @@ def test_elastic_worker_attaches_to_a_live_queue(tmp_path):
     drain a queue it never saw created."""
     from repro.runtime.backends.queue import worker_loop
 
-    # concurrency >= 2 so the scheduler takes the wavefront path, but no
-    # local workers: only the externally-attached one can make progress
+    # no local workers: only the externally-attached one can make progress
     backend = QueueBackend(max_workers=2, spawn_workers=False,
                            poll_interval_s=0.02)
     future_values = {}

@@ -9,6 +9,7 @@ from typing import ClassVar
 import pytest
 
 from repro.core import Evaluation, EvaluationConfig
+from repro.core.cache import DiskCache
 from repro.runtime.backends import make_backend
 from repro.runtime.deadline import JobTimeoutError
 from repro.runtime.graph import TaskGraph
@@ -150,7 +151,7 @@ def test_pool_fail_fast_shuts_down_cleanly_with_slow_siblings():
 def test_transient_failure_is_retried_and_succeeds(tmp_path, workers):
     flaky = FlakyJob("f1", str(tmp_path), fail_times=1)
     executor = Scheduler(backend=make_backend(None, max_workers=workers),
-                         job_retries=1, retry_backoff=0.0)
+                         job_retries=1)
     values = run_targets(executor, flaky, OkJob("ok2", 1))
     assert values[flaky.key()] == "f1"
     manifest = executor.last_manifest
@@ -164,7 +165,7 @@ def test_transient_failure_is_retried_and_succeeds(tmp_path, workers):
 def test_exhausted_retries_count_every_attempt(tmp_path, workers):
     flaky = FlakyJob("f2", str(tmp_path), fail_times=10)
     executor = Scheduler(backend=make_backend(None, max_workers=workers),
-                         job_retries=2, retry_backoff=0.0, keep_going=True)
+                         job_retries=2, keep_going=True)
     values = run_targets(executor, flaky, OkJob("ok3", 1))
     assert flaky.key() not in values
     (failure,) = executor.last_manifest.failures
@@ -196,7 +197,7 @@ def test_keep_going_isolates_the_dependent_subtree(workers):
     assert_no_leaked_workers(before)
 
 
-def test_keep_going_serial_and_pool_agree():
+def test_keep_going_serial_and_pool_agree(tmp_path):
     def build():
         boom = BoomJob("b4")
         mid = OkJob("mid", 3, (boom,))
@@ -206,20 +207,24 @@ def test_keep_going_serial_and_pool_agree():
         return (top, healthy_top), (boom, mid)
 
     results = {}
-    for workers in (1, 2):
+    for backend in ("serial", "pool", "queue"):
         targets, _ = build()
-        executor = Scheduler(backend=make_backend(None, max_workers=workers),
+        executor = Scheduler(DiskCache(str(tmp_path / backend)),
+                             backend=make_backend(backend, max_workers=2),
                              keep_going=True)
         values = run_targets(executor, *targets)
         manifest = executor.last_manifest
-        results[workers] = (values, [f.key for f in manifest.failures],
-                            sorted(manifest.skipped))
-    assert results[1] == results[2]
-    values, failed, skipped = results[1]
+        attempts = {(a.key, a.attempt, a.outcome) for a in manifest.attempts}
+        results[backend] = (values, [f.key for f in manifest.failures],
+                            sorted(manifest.skipped), attempts)
+    assert results["serial"] == results["pool"] == results["queue"]
+    values, failed, skipped, attempts = results["serial"]
     (_, healthy_top), (boom, mid) = build()[0], build()[1]
     assert values[healthy_top.key()] == 3
     assert failed == [boom.key()]
     assert len(skipped) == 2  # mid and top
+    assert (boom.key(), 1, "error") in attempts
+    assert len(attempts) == 3  # boom, base and htop, one attempt each
 
 
 @dataclass(frozen=True)
@@ -250,7 +255,7 @@ def test_broken_pool_is_restarted_and_jobs_resubmitted(tmp_path):
     sibling = OkJob("sib", 11)
     before = multiprocessing.active_children()
     executor = Scheduler(backend=make_backend(None, max_workers=2),
-                         job_retries=1, retry_backoff=0.0)
+                         job_retries=1)
     values = run_targets(executor, killer, sibling)
     # the second attempt (on a fresh pool) succeeds; the sibling survives
     # the breakage too, resubmitted if it was in flight when the pool died

@@ -89,16 +89,6 @@ def test_cycle_detection():
         graph.topological_order()
 
 
-def test_dependents_reverse_edges():
-    graph = TaskGraph()
-    shared = StubJob("shared")
-    x = StubJob("x", [shared])
-    y = StubJob("y", [shared])
-    graph.add(x)
-    graph.add(y)
-    assert set(graph.dependents(shared.key())) == {x.key(), y.key()}
-
-
 def test_base_jobspec_is_abstract_enough():
     with pytest.raises(NotImplementedError):
         JobSpec().run(None, {})
