@@ -16,7 +16,9 @@ import os
 
 import pytest
 
-from repro.core import Evaluation, EvaluationConfig
+from repro.api import (ApiService, CompressRequest, CompressResponse,
+                       GridRequest)
+from repro.core import EvaluationConfig
 from repro.core.results import ScenarioRecord
 
 BENCH_LENGTH = 3_000
@@ -36,25 +38,32 @@ def bench_config() -> EvaluationConfig:
 
 
 @pytest.fixture(scope="session")
-def evaluation() -> Evaluation:
-    return Evaluation(bench_config())
+def service() -> ApiService:
+    return ApiService(bench_config())
 
 
 @pytest.fixture(scope="session")
-def all_records(evaluation) -> list[ScenarioRecord]:
+def all_records(service) -> list[ScenarioRecord]:
     """Baseline + scenario records over the whole grid (the expensive part)."""
-    records = evaluation.grid_records()
-    manifest = evaluation.last_manifest
+    records, manifest = service.grid(GridRequest())
     print(f"\n[grid] {manifest.total} jobs, {manifest.cached} cached, "
           f"{manifest.executed} executed in {manifest.wall_seconds:.1f}s")
     return records
 
 
 @pytest.fixture(scope="session")
-def all_sweeps(evaluation) -> dict:
+def all_sweeps(service) -> dict[str, list[CompressResponse]]:
     """Compression sweeps (TE/CR/segments) for every dataset."""
-    return {name: evaluation.compression_sweep(name)
-            for name in evaluation.config.datasets}
+    config = service.config
+    sweeps = {}
+    for name in config.datasets:
+        responses = service.compress_batch([
+            CompressRequest(name, method, error_bound)
+            for method in config.compressors
+            for error_bound in config.error_bounds])
+        sweeps[name] = [response for response in responses
+                        if isinstance(response, CompressResponse)]
+    return sweeps
 
 
 def print_header(title: str) -> None:

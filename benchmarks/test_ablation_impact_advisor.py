@@ -22,9 +22,11 @@ from repro.core.results import tfe_table
 HELD_OUT = "ETTm2"
 
 
-def run_study(evaluation, all_records):
-    deltas = {name: evaluation.characteristic_deltas(name)
-              for name in evaluation.config.datasets}
+def run_study(service, all_records):
+    config = service.config
+    deltas = {name: service.feature_deltas(name, config.compressors,
+                                           config.error_bounds)
+              for name in config.datasets}
     train_deltas = {k: v for k, v in deltas.items() if k != HELD_OUT}
     train_records = [r for r in all_records if r.dataset != HELD_OUT]
     advisor = CompressionAdvisor(n_estimators=120).fit(train_deltas,
@@ -36,9 +38,9 @@ def run_study(evaluation, all_records):
     return advisor, y, predicted
 
 
-def test_ablation_impact_advisor(benchmark, evaluation, all_records):
+def test_ablation_impact_advisor(benchmark, service, all_records):
     advisor, measured, predicted = benchmark.pedantic(
-        run_study, rounds=1, iterations=1, args=(evaluation, all_records))
+        run_study, rounds=1, iterations=1, args=(service, all_records))
     rho = spearman(predicted, measured)
     print_header(f"Ablation A6: predicting {HELD_OUT}'s TFE from "
                  "characteristic deltas (leave-one-dataset-out)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from conftest import print_header
 
 
-def test_figure3(benchmark, evaluation, all_sweeps):
+def test_figure3(benchmark, service, all_sweeps):
     counts = benchmark.pedantic(
         lambda: {
             dataset: {(r.method, r.error_bound): r.num_segments for r in sweep}
@@ -23,14 +23,14 @@ def test_figure3(benchmark, evaluation, all_sweeps):
     for dataset, table in counts.items():
         print(f"\n{dataset}:")
         print(f"{'eps':>6s} " + " ".join(f"{m:>8s}" for m in methods))
-        for eb in evaluation.config.error_bounds:
+        for eb in service.config.error_bounds:
             print(f"{eb:>6.2f} " + " ".join(
                 f"{table[(m, eb)]:>8d}" for m in methods))
 
     for dataset, table in counts.items():
         for method in methods:
             series = [table[(method, eb)]
-                      for eb in evaluation.config.error_bounds]
+                      for eb in service.config.error_bounds]
             # counts shrink (weakly) as the bound grows
             assert series[0] >= series[-1]
         # SWING needs fewer segments than PMC (Figure 3's consistent gap)

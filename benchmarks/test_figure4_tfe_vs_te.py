@@ -14,7 +14,7 @@ from conftest import print_header
 from repro.core.results import confidence_interval95, tfe_table
 
 
-def build_series(all_records, all_sweeps, evaluation):
+def build_series(all_records, all_sweeps, service):
     table = tfe_table(all_records)
     te_lookup = {}
     for dataset, sweep in all_sweeps.items():
@@ -22,10 +22,10 @@ def build_series(all_records, all_sweeps, evaluation):
             te_lookup[(dataset, record.method, record.error_bound)] = \
                 record.te["NRMSE"]
     series = {}
-    for dataset in evaluation.config.datasets:
-        for method in evaluation.config.compressors:
+    for dataset in service.config.datasets:
+        for method in service.config.compressors:
             points = []
-            for eb in evaluation.config.error_bounds:
+            for eb in service.config.error_bounds:
                 values = [value for (d, m, c, b, r), value in table.items()
                           if d == dataset and c == method and b == eb and not r]
                 mean, half = confidence_interval95(np.array(values))
@@ -34,9 +34,9 @@ def build_series(all_records, all_sweeps, evaluation):
     return series
 
 
-def test_figure4(benchmark, evaluation, all_records, all_sweeps):
+def test_figure4(benchmark, service, all_records, all_sweeps):
     series = benchmark.pedantic(build_series, rounds=1, iterations=1,
-                                args=(all_records, all_sweeps, evaluation))
+                                args=(all_records, all_sweeps, service))
     print_header("Figure 4: TFE vs TE (mean +/- 95% CI across models)")
     for (dataset, method), points in series.items():
         rendered = "  ".join(f"({te:.3f}: {m:+.2f}±{h:.2f})"
@@ -59,8 +59,8 @@ def test_figure4(benchmark, evaluation, all_records, all_sweeps):
     wins = 0
     cells = 0
     table = tfe_table(all_records)
-    for dataset in evaluation.config.datasets:
-        for eb in evaluation.config.error_bounds:
+    for dataset in service.config.datasets:
+        for eb in service.config.error_bounds:
             def mean_tfe(method):
                 values = [v for (d, m, c, b, r), v in table.items()
                           if d == dataset and c == method and b == eb and not r]

@@ -23,15 +23,17 @@ PAPER_FAMILIES = {
 }
 
 
-def build_analysis(evaluation, all_records):
-    deltas = {name: evaluation.characteristic_deltas(name)
-              for name in evaluation.config.datasets}
+def build_analysis(service, all_records):
+    config = service.config
+    deltas = {name: service.feature_deltas(name, config.compressors,
+                                           config.error_bounds)
+              for name in config.datasets}
     return analyze_importance(deltas, all_records)
 
 
-def test_figure5(benchmark, evaluation, all_records):
+def test_figure5(benchmark, service, all_records):
     analysis = benchmark.pedantic(build_analysis, rounds=1, iterations=1,
-                                  args=(evaluation, all_records))
+                                  args=(service, all_records))
     print_header("Figure 5: top characteristics by mean |SHAP| "
                  f"(TFE predictor R^2 = {analysis.r_squared:.2f})")
     top = analysis.shap_ranking[:12]

@@ -16,7 +16,7 @@ from repro.core import average_tfe_per_model, elbow_summaries
 from repro.core.results import RAW, mean_over_seeds
 
 
-def build_table(evaluation, all_records, all_sweeps):
+def build_table(service, all_records, all_sweeps):
     summaries = elbow_summaries(all_records, all_sweeps)
     cap = {}
     for summary in summaries:
@@ -25,11 +25,11 @@ def build_table(evaluation, all_records, all_sweeps):
     return average_tfe_per_model(all_records, cap), cap
 
 
-def test_figure6(benchmark, evaluation, all_records, all_sweeps):
+def test_figure6(benchmark, service, all_records, all_sweeps):
     table, cap = benchmark.pedantic(build_table, rounds=1, iterations=1,
-                                    args=(evaluation, all_records, all_sweeps))
-    datasets = evaluation.config.datasets
-    models = evaluation.config.models
+                                    args=(service, all_records, all_sweeps))
+    datasets = service.config.datasets
+    models = service.config.models
     print_header("Figure 6: average TFE per model (error bounds capped at "
                  "each dataset's elbow)")
     print(f"{'model':12s}" + "".join(f"{d:>10s}" for d in datasets))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 from conftest import print_header
 
+from repro.api import GridRequest
 from repro.core.results import tfe_table
 
 DATASETS = ("ETTm1", "ETTm2")
@@ -21,20 +22,18 @@ MODELS = ("Arima", "DLinear")
 BOUNDS = (0.05, 0.1, 0.2)
 
 
-def build_records(evaluation, all_records):
+def build_records(service, all_records):
     records = [r for r in all_records
                if r.dataset in DATASETS and r.model in MODELS]
-    for dataset in DATASETS:
-        for model in MODELS:
-            records += evaluation.retrain_records(
-                model, dataset, methods=("PMC", "SWING", "SZ"),
-                error_bounds=BOUNDS)
-    return records
+    retrained, _ = service.grid(GridRequest(
+        datasets=DATASETS, models=MODELS, methods=("PMC", "SWING", "SZ"),
+        error_bounds=BOUNDS, include_baseline=False, retrained=True))
+    return records + retrained
 
 
-def test_figure7(benchmark, evaluation, all_records):
+def test_figure7(benchmark, service, all_records):
     records = benchmark.pedantic(build_records, rounds=1, iterations=1,
-                                 args=(evaluation, all_records))
+                                 args=(service, all_records))
     table = tfe_table(records)
 
     print_header("Figure 7: TFE when training on decompressed data "

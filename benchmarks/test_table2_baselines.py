@@ -16,13 +16,13 @@ from repro.core.results import RAW, mean_over_seeds
 METRIC_ORDER = ("R", "RSE", "RMSE", "NRMSE")
 
 
-def test_table2(benchmark, evaluation, all_records):
+def test_table2(benchmark, service, all_records):
     means = benchmark.pedantic(mean_over_seeds, rounds=1, iterations=1,
                                args=([r for r in all_records
                                       if r.method == RAW],))
     print_header("Table 2: evaluation-scenario baseline results")
-    datasets = evaluation.config.datasets
-    models = evaluation.config.models
+    datasets = service.config.datasets
+    models = service.config.models
     print(f"{'Model':12s}{'Metric':8s}" + "".join(f"{d:>10s}" for d in datasets))
     for model in models:
         for metric in METRIC_ORDER:

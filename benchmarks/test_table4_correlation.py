@@ -13,15 +13,17 @@ from conftest import print_header
 from repro.core import analyze_importance
 
 
-def build_analysis(evaluation, all_records):
-    deltas = {name: evaluation.characteristic_deltas(name)
-              for name in evaluation.config.datasets}
+def build_analysis(service, all_records):
+    config = service.config
+    deltas = {name: service.feature_deltas(name, config.compressors,
+                                           config.error_bounds)
+              for name in config.datasets}
     return analyze_importance(deltas, all_records)
 
 
-def test_table4(benchmark, evaluation, all_records):
+def test_table4(benchmark, service, all_records):
     analysis = benchmark.pedantic(build_analysis, rounds=1, iterations=1,
-                                  args=(evaluation, all_records))
+                                  args=(service, all_records))
     print_header("Table 4: top characteristics by Spearman correlation to TFE")
     print(f"{'characteristic':20s}{'corr':>8s}")
     for name, value in analysis.spearman_ranking[:12]:

@@ -16,13 +16,13 @@ from conftest import print_header
 from repro.core import elbow_summaries
 
 
-def test_table5(benchmark, evaluation, all_records, all_sweeps):
+def test_table5(benchmark, service, all_records, all_sweeps):
     summaries = benchmark.pedantic(elbow_summaries, rounds=1, iterations=1,
                                    args=(all_records, all_sweeps))
     print_header("Table 5: elbows' median error bound, TE, CR, and TFE")
-    datasets = list(evaluation.config.datasets)
+    datasets = list(service.config.datasets)
     by_pair = {(s.dataset, s.method): s for s in summaries}
-    for method in evaluation.config.compressors:
+    for method in service.config.compressors:
         rows = [by_pair[(d, method)] for d in datasets if (d, method) in by_pair]
         print(f"\n{method}:")
         print(f"{'':6s}" + "".join(f"{d:>10s}" for d in datasets) + f"{'AVG':>10s}")
@@ -33,7 +33,7 @@ def test_table5(benchmark, evaluation, all_records, all_sweeps):
             print(f"{label:6s}" + "".join(f"{v:>10.3f}" for v in values)
                   + f"{np.mean(values):>10.3f}")
 
-    for method in evaluation.config.compressors:
+    for method in service.config.compressors:
         rows = [s for s in summaries if s.method == method]
         assert len(rows) == len(datasets)
         average_cr = np.mean([s.compression_ratio for s in rows])
@@ -46,5 +46,5 @@ def test_table5(benchmark, evaluation, all_records, all_sweeps):
     # SWING trades CR for resilience: its average elbow CR is the smallest
     average_cr = {method: np.mean([s.compression_ratio for s in summaries
                                    if s.method == method])
-                  for method in evaluation.config.compressors}
+                  for method in service.config.compressors}
     assert average_cr["SWING"] <= min(average_cr["PMC"], average_cr["SZ"]) * 1.4

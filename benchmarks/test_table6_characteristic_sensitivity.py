@@ -22,21 +22,23 @@ LABELS = {"max_kl_shift": "MKLS", "max_level_shift": "MLS",
           "unitroot_pp": "URPP"}
 
 
-def build_table(evaluation, all_records):
-    deltas = {name: evaluation.characteristic_deltas(name)
-              for name in evaluation.config.datasets}
+def build_table(service, all_records):
+    config = service.config
+    deltas = {name: service.feature_deltas(name, config.compressors,
+                                           config.error_bounds)
+              for name in config.datasets}
     return characteristic_sensitivity(deltas, all_records, tfe_threshold=0.1)
 
 
-def test_table6(benchmark, evaluation, all_records):
+def test_table6(benchmark, service, all_records):
     table = benchmark.pedantic(build_table, rounds=1, iterations=1,
-                               args=(evaluation, all_records))
+                               args=(service, all_records))
     print_header("Table 6: mean (std) relative difference (%) of the five "
                  "key characteristics when TFE <= 0.1")
     print(f"{'dataset':9s}{'method':7s}" + "".join(
         f"{LABELS[c]:>16s}" for c in KEY_CHARACTERISTICS))
-    for dataset in evaluation.config.datasets:
-        for method in evaluation.config.compressors:
+    for dataset in service.config.datasets:
+        for method in service.config.compressors:
             cells = []
             for characteristic in KEY_CHARACTERISTICS:
                 entry = table.get((dataset, method, characteristic))

@@ -15,10 +15,10 @@ from repro.core import best_models
 SIMPLE_MODELS = {"Arima", "GBoost", "DLinear", "GRU"}
 
 
-def test_table7(benchmark, evaluation, all_records):
+def test_table7(benchmark, service, all_records):
     table = benchmark.pedantic(best_models, rounds=1, iterations=1,
                                args=(all_records,))
-    datasets = evaluation.config.datasets
+    datasets = service.config.datasets
     print_header("Table 7: best models based on NRMSE and TFE")
     print(f"{'':8s}" + "".join(f"{d:>12s}" for d in datasets))
     for row in ("NRMSE", "TFE"):

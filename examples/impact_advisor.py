@@ -16,7 +16,8 @@ Run:  python examples/impact_advisor.py   (takes a few minutes)
 
 from __future__ import annotations
 
-from repro.core import CompressionAdvisor, Evaluation, EvaluationConfig
+from repro.api import ApiService, GridRequest
+from repro.core import CompressionAdvisor, EvaluationConfig
 from repro.datasets import load
 
 
@@ -29,15 +30,12 @@ def main() -> None:
         deep_seeds=1,
         cache_dir=None,
     )
-    evaluation = Evaluation(config)
+    service = ApiService(config)
     print("building the training grid (2 datasets x 3 models x 3 methods "
           "x 6 bounds) ...")
-    records = []
-    for dataset in config.datasets:
-        for model in config.models:
-            records += evaluation.baseline_records(model, dataset)
-            records += evaluation.scenario_records(model, dataset)
-    deltas = {name: evaluation.characteristic_deltas(name)
+    records, _ = service.grid(GridRequest())
+    deltas = {name: service.feature_deltas(name, config.compressors,
+                                           config.error_bounds)
               for name in config.datasets}
 
     advisor = CompressionAdvisor().fit(deltas, records)

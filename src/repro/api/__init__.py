@@ -1,9 +1,8 @@
 """Versioned, typed request/response API — the single evaluation contract.
 
-Three frontends share this layer: the :class:`~repro.core.scenario.
-Evaluation` façade (legacy methods translated into requests), the
-``repro-eval`` CLI subcommands, and the ``repro-serve`` daemon
-(:mod:`repro.server`).  The pieces:
+Every caller shares this layer: in-process code calling
+:class:`ApiService` directly, the ``repro-eval`` CLI subcommands, and
+the ``repro-serve`` daemon (:mod:`repro.server`).  The pieces:
 
 - :mod:`repro.api.requests` / :mod:`repro.api.responses` — the frozen
   dataclasses of the contract, stamped with :data:`API_VERSION`;

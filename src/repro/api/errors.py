@@ -10,7 +10,7 @@ phase ("compress", "train", "forecast", or an API-level kind such as
 endpoint/field), ``message`` the exception repr, ``attempts`` how many
 times the runtime tried, and ``description`` the human-readable job spec.
 
-``Evaluation.last_failure_envelopes``, the ``/v1/runs/{id}`` endpoint,
+``ApiService.failure_envelopes()``, the ``/v1/runs/{id}`` endpoint,
 and every non-2xx ``repro-serve`` response serialize through this one
 dataclass, so a client can handle failures identically no matter which
 frontend produced them (pinned by ``tests/api/test_envelopes.py``).

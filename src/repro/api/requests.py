@@ -22,9 +22,9 @@ checks *semantics* (known dataset/method/model names, valid split parts,
 sane numeric ranges) and raises :class:`~repro.api.errors.ValidationError`
 — shape validation against the JSON schemas lives in
 :mod:`repro.api.schema`, applied by the codec when a request arrives as a
-payload.  The façade (:class:`~repro.core.scenario.Evaluation`), the CLI
-subcommands, and the ``repro-serve`` daemon all construct exactly these
-objects and hand them to :class:`~repro.api.service.ApiService`.
+payload.  In-process callers, the CLI subcommands, and the
+``repro-serve`` daemon all construct exactly these objects and hand them
+to :class:`~repro.api.service.ApiService`.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from repro.api.errors import ValidationError
 from repro.compression.registry import (GRID_METHODS, STREAMING_METHODS)
+from repro.core.results import RAW
 from repro.datasets.registry import DATASET_NAMES
 from repro.forecasting.rolling import STREAM_MODEL_NAMES
 from repro.registry import model_names, task_names
@@ -47,9 +48,6 @@ COMPRESS_METHODS: tuple[str, ...] = GRID_METHODS + ("GORILLA",)
 
 #: split parts a CompressRequest may target
 PARTS: tuple[str, ...] = ("train", "validation", "test", "full")
-
-#: method label of uncompressed baseline forecasts
-RAW = "RAW"
 
 #: downstream task a grid cell evaluates when none is requested
 DEFAULT_TASK = "forecasting"

@@ -1,28 +1,22 @@
 """Typed response objects mirroring :mod:`repro.api.requests`.
 
 Responses are plain frozen dataclasses whose fields are JSON-safe scalars
-and containers, so the same object serves the in-process façade (which
-converts them back into the legacy record types byte-identically) and the
-wire (where the codec turns them into tagged JSON payloads).  The
-conversion helpers (:meth:`CompressResponse.to_record`,
-:meth:`ForecastResponse.to_record` / :meth:`from_record`) are the only
-bridge between the API layer and :mod:`repro.core.results` — keeping the
-legacy surface stable while every frontend shares one contract.
+and containers, so the same object serves in-process callers and the
+wire (where the codec turns them into tagged JSON payloads).
+:meth:`ForecastResponse.from_record` / :meth:`~ForecastResponse.to_record`
+are the only bridge between the API layer and
+:class:`~repro.core.results.ScenarioRecord`, the value every forecast and
+anomaly job caches and the record type of :meth:`ApiService.grid
+<repro.api.service.ApiService.grid>`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.api.errors import ErrorEnvelope
-
-# imported lazily inside the record converters: ``repro.core.__init__``
-# imports the scenario façade, which imports this package, and an eager
-# import back into ``repro.core`` would make one of the two unimportable
-# depending on which side is imported first (the ``runtime.jobs`` rule)
-if TYPE_CHECKING:
-    from repro.core.results import CompressionRecord, ScenarioRecord
+from repro.core.results import ScenarioRecord
 
 #: terminal + transient states of an async grid run; "interrupted" marks
 #: a run that was pending/running when its daemon died — terminal, since
@@ -45,15 +39,6 @@ class CompressResponse:
     #: transformation error per pointwise metric (NaN for degenerate cells)
     te: dict[str, float] = field(default_factory=dict)
 
-    def to_record(self) -> "CompressionRecord":
-        """The legacy record type ``Evaluation.compression_sweep`` returns."""
-        from repro.core.results import CompressionRecord
-
-        return CompressionRecord(dataset=self.dataset, method=self.method,
-                                 error_bound=self.error_bound, te=dict(self.te),
-                                 compression_ratio=self.compression_ratio,
-                                 num_segments=self.num_segments)
-
 
 @dataclass(frozen=True)
 class ForecastResponse:
@@ -71,16 +56,14 @@ class ForecastResponse:
     task: str = "forecasting"
 
     @classmethod
-    def from_record(cls, record: "ScenarioRecord") -> "ForecastResponse":
+    def from_record(cls, record: ScenarioRecord) -> "ForecastResponse":
         return cls(dataset=record.dataset, model=record.model,
                    method=record.method, error_bound=record.error_bound,
                    seed=record.seed, retrained=record.retrained,
                    metrics=dict(record.metrics), task=record.task)
 
-    def to_record(self) -> "ScenarioRecord":
-        """The legacy record type the scenario methods return."""
-        from repro.core.results import ScenarioRecord
-
+    def to_record(self) -> ScenarioRecord:
+        """The cell as the record type :meth:`ApiService.grid` returns."""
         return ScenarioRecord(self.dataset, self.model, self.method,
                               self.error_bound, self.seed,
                               dict(self.metrics), retrained=self.retrained,

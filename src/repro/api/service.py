@@ -1,5 +1,7 @@
 """The one execution engine behind every frontend.
 
+The paper's Algorithm 1 (EvaluateScenario) runs here, whether it is
+called in-process, from the ``repro-eval`` CLI or behind ``repro-serve``.
 :class:`ApiService` owns the shared :class:`~repro.core.cache.DiskCache`
 and :class:`~repro.runtime.scheduler.Scheduler` and knows how to turn each
 request type into frozen job specs, run them as ONE task graph, and map
@@ -11,15 +13,16 @@ the results (or their failures) back to the requesting order:
 - :meth:`forecast_batch` — N :class:`ForecastRequest`\\ s → one graph
   sharing trained models and transformed splits across cells;
 - :meth:`grid` — a :class:`GridRequest` resolved against the config,
-  producing the legacy record list plus the run manifest;
+  producing the :class:`~repro.core.results.ScenarioRecord` list plus the
+  run manifest;
 - :meth:`trace` — renders a recorded run directory.
 
 Batch methods return, *positionally per request*, either the typed
 response or an :class:`~repro.api.errors.ErrorEnvelope` — under
 ``keep_going`` a failing cell degrades to its envelope while healthy
 siblings still answer.  In fail-fast mode the scheduler's
-:class:`~repro.runtime.manifest.JobError` propagates unchanged, which is
-what the legacy façade expects; the server catches it and envelopes it.
+:class:`~repro.runtime.manifest.JobError` propagates unchanged to
+in-process callers; the server catches it and envelopes it.
 
 All graph runs serialize through one lock: the scheduler mutates shared
 state (``last_manifest``, the run context), and the server drives this
@@ -32,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import repro.obs as obs
 from repro.api.errors import (ErrorEnvelope, envelope_from_failure,
@@ -43,6 +46,9 @@ from repro.api.responses import (CompressResponse, ForecastResponse,
                                  TraceResponse)
 from repro.compression.base import CompressionResult
 from repro.compression.serialize import compression_ratio, raw_gz_size
+from repro.core.cache import Cache, DiskCache
+from repro.core.config import EvaluationConfig
+from repro.core.results import ScenarioRecord
 from repro.datasets.timeseries import Dataset
 from repro.datasets.splits import Split
 from repro.metrics.errors import transformation_error
@@ -54,23 +60,13 @@ from repro.runtime.jobs import (CompressJob, FeatureJob, JobSpec, TrainJob,
 from repro.runtime.manifest import FailureRecord, RunManifest
 from repro.runtime.scheduler import Scheduler
 
-# ``repro.core`` types are imported lazily: its package ``__init__``
-# imports the scenario façade, which imports this module (jobs.py rule)
-if TYPE_CHECKING:
-    from repro.core.cache import Cache
-    from repro.core.config import EvaluationConfig
-    from repro.core.results import ScenarioRecord
-
 
 class ApiService:
     """Executes typed API requests over the task-graph runtime."""
 
-    def __init__(self, config: "EvaluationConfig | None" = None) -> None:
-        from repro.core.cache import DiskCache
-        from repro.core.config import EvaluationConfig
-
+    def __init__(self, config: EvaluationConfig | None = None) -> None:
         self.config = config or EvaluationConfig()
-        self.cache: "Cache" = DiskCache(self.config.cache_dir)
+        self.cache: Cache = DiskCache(self.config.cache_dir)
         backend_options = {}
         if self.config.backend == "queue":
             backend_options = {
@@ -126,7 +122,7 @@ class ApiService:
 
     def run_jobs(self, jobs: list[JobSpec]) -> dict[str, Any]:
         """Run arbitrary job specs as one graph (the in-process escape
-        hatch the façade uses for models and feature deltas)."""
+        hatch for trained models and other job values)."""
         graph = TaskGraph()
         for job in jobs:
             graph.add(job)
@@ -214,8 +210,8 @@ class ApiService:
 
         Requests sharing a (dataset, method, bound, part, length)
         signature collapse to one job — the graph deduplicates by
-        content-hash key — so coalesced server batches and the façade's
-        full-grid sweeps cost each distinct cell exactly once.
+        content-hash key — so coalesced server batches and full-grid
+        sweeps cost each distinct cell exactly once.
         """
         jobs = [self.compress_job(request) for request in requests]
         values = self.run_jobs(list(jobs))
@@ -337,12 +333,12 @@ class ApiService:
         return cells
 
     def grid(self, request: GridRequest
-             ) -> "tuple[list[ScenarioRecord], RunManifest]":
+             ) -> tuple[list[ScenarioRecord], RunManifest]:
         """Run a whole sub-grid as one graph; completed records in order.
 
         With ``keep_going`` failed cells are absent from the record list
-        and described by the returned manifest's failures, exactly like
-        the legacy ``Evaluation.grid_records`` contract.
+        and described by the returned manifest's failures (also
+        :attr:`last_failures` and :meth:`failure_envelopes`).
         """
         responses = self.forecast_batch(self.grid_requests(request))
         records = [response.to_record() for response in responses

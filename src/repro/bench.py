@@ -15,7 +15,7 @@ baselines:
   wall-clock per measurement, and checks on the fly that both produced
   byte-identical payloads.
 - The report also times one small end-to-end grid cell (a compression
-  sweep through :class:`repro.core.Evaluation`) so kernel-level speedups
+  sweep through :class:`repro.api.ApiService`) so kernel-level speedups
   can be related to whole-pipeline wall time.
 - :func:`check_report` turns a report into a list of regression strings —
   empty when every kernel beats its scalar reference by the configured
@@ -190,12 +190,17 @@ def bench_method(method: str, series, error_bound: float,
 
 def bench_grid_cell(config: BenchConfig) -> dict:
     """Wall time of one small end-to-end compression sweep (one grid cell)."""
-    from repro.core import Evaluation, EvaluationConfig
+    from repro.api import ApiService, CompressRequest, CompressResponse
+    from repro.core import EvaluationConfig
 
-    evaluation = Evaluation(EvaluationConfig(
+    service = ApiService(EvaluationConfig(
         dataset_length=config.grid_length, cache_dir=None))
+    requests = [CompressRequest("ETTm1", method, error_bound)
+                for method in service.config.compressors
+                for error_bound in service.config.error_bounds]
     start = WALL()
-    records = evaluation.compression_sweep("ETTm1")
+    records = [response for response in service.compress_batch(requests)
+               if isinstance(response, CompressResponse)]
     elapsed = WALL() - start
     return {
         "dataset": "ETTm1",

@@ -41,11 +41,12 @@ Subcommands:
 - ``repro-eval serve ...`` — start the ``repro-serve`` HTTP daemon; every
   following argument is forwarded to it (see ``repro-serve --help``).
 
-``compress`` and ``trace`` are thin shells over the typed API
-(:mod:`repro.api`): their output is decoded from the exact JSON payloads
-``repro-serve`` returns on ``/v1/compress`` / ``/v1/trace``, and
-``--json`` prints those payloads verbatim — one wire shape across the
-CLI, the façade, and the server.
+Every evaluation subcommand runs through the typed API's
+:class:`~repro.api.service.ApiService`, the engine behind ``repro-serve``
+too.  ``compress`` and ``trace`` print their output decoded from the
+exact JSON payloads ``repro-serve`` returns on ``/v1/compress`` /
+``/v1/trace``, and ``--json`` prints those payloads verbatim — one wire
+shape across the CLI and the server.
 
 ``grid`` and ``bench`` accept ``--trace [DIR]`` to record a merged
 ``trace.jsonl`` (plus ``manifest.json`` for grid runs) into ``DIR``
@@ -295,8 +296,8 @@ def _command_compress(args: argparse.Namespace) -> int:
     """One CompressRequest through the typed API, printed off the wire.
 
     The response is round-tripped through the JSON codec before printing,
-    so this command, the façade, and ``POST /v1/compress`` expose one and
-    the same payload shape — ``--json`` prints that payload verbatim.
+    so this command and ``POST /v1/compress`` expose one and the same
+    payload shape — ``--json`` prints that payload verbatim.
     """
     from repro.api import (ApiError, ApiService, CompressRequest, dumps,
                            loads)
@@ -326,31 +327,44 @@ def _command_compress(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.core import Evaluation, EvaluationConfig
+    """The Figure 2/3 sweep: every configured codec and bound, one graph."""
+    from repro.api import (ApiError, ApiService, CompressRequest,
+                           CompressResponse, ErrorEnvelope)
+    from repro.core.config import EvaluationConfig
 
-    evaluation = Evaluation(EvaluationConfig(dataset_length=args.length,
-                                             cache_dir=None))
+    service = ApiService(EvaluationConfig(dataset_length=args.length,
+                                          cache_dir=None))
+    config = service.config
     print(f"{'method':7s}{'eps':>6s}{'CR':>9s}{'TE':>9s}{'segments':>10s}")
-    for record in evaluation.compression_sweep(args.dataset):
-        print(f"{record.method:7s}{record.error_bound:>6.2f}"
-              f"{record.compression_ratio:>9.1f}{record.te['NRMSE']:>9.4f}"
-              f"{record.num_segments:>10d}")
-    print(f"GORILLA lossless CR: "
-          f"{evaluation.gorilla_ratio(args.dataset):.2f}x")
+    for response in service.compress_batch([
+            CompressRequest(args.dataset, method, error_bound)
+            for method in config.compressors
+            for error_bound in config.error_bounds]):
+        if isinstance(response, CompressResponse):
+            print(f"{response.method:7s}{response.error_bound:>6.2f}"
+                  f"{response.compression_ratio:>9.1f}"
+                  f"{response.te['NRMSE']:>9.4f}"
+                  f"{response.num_segments:>10d}")
+    gorilla, = service.compress_batch(
+        [CompressRequest(args.dataset, "GORILLA", 0.0)])
+    if isinstance(gorilla, ErrorEnvelope):
+        raise ApiError(gorilla, status=500)
+    print(f"GORILLA lossless CR: {gorilla.compression_ratio:.2f}x")
     return 0
 
 
 def _command_evaluate(args: argparse.Namespace) -> int:
-    from repro.core import Evaluation, EvaluationConfig, tfe_table
+    from repro.api import ApiService, GridRequest
+    from repro.core import EvaluationConfig, tfe_table
     from repro.core.results import RAW, mean_over_seeds
 
     config = EvaluationConfig(dataset_length=args.length, cache_dir=None,
                               deep_seeds=1, simple_seeds=1,
                               error_bounds=tuple(args.error_bounds))
-    evaluation = Evaluation(config)
+    service = ApiService(config)
     print(f"training {args.model} on {args.dataset} ...")
-    records = evaluation.baseline_records(args.model, args.dataset)
-    records += evaluation.scenario_records(args.model, args.dataset)
+    records, _ = service.grid(GridRequest(datasets=(args.dataset,),
+                                          models=(args.model,)))
     baseline = mean_over_seeds(records)[
         (args.dataset, args.model, RAW, 0.0, False)]
     print(f"baseline NRMSE: {baseline['NRMSE']:.4f}  (R {baseline['R']:.3f})")
@@ -381,7 +395,8 @@ def _records_digest(records) -> str:
 def _command_grid(args: argparse.Namespace) -> int:
     import math
 
-    from repro.core import Evaluation, EvaluationConfig, tfe_table
+    from repro.api import ApiService, GridRequest
+    from repro.core import EvaluationConfig, tfe_table
     from repro.core.results import RAW, mean_over_seeds
     from repro.runtime import JobError
 
@@ -409,7 +424,7 @@ def _command_grid(args: argparse.Namespace) -> int:
         keep_going=args.keep_going,
         trace_dir=args.trace,
     )
-    evaluation = Evaluation(config)
+    service = ApiService(config)
     cells = (len(config.datasets) * len(config.models)
              * len(config.compressors) * len(config.error_bounds))
     print(f"grid: {len(config.datasets)} datasets x {len(config.models)} "
@@ -418,12 +433,12 @@ def _command_grid(args: argparse.Namespace) -> int:
           f"(+ baselines), task={args.task}, workers={args.workers}, "
           f"backend={args.backend}")
     try:
-        records = evaluation.grid_records(models=models, task=args.task,
-                                          retrained=args.retrain)
+        records, manifest = service.grid(GridRequest(
+            models=models, task=args.task, retrained=args.retrain))
     except JobError as error:
-        if evaluation.last_manifest is not None:
+        if service.last_manifest is not None:
             print("\nrun manifest:")
-            for line in evaluation.last_manifest.lines():
+            for line in service.last_manifest.lines():
                 print(f"  {line}")
         _finish_trace(args.trace)
         print(f"\nerror: {error}", file=sys.stderr)
@@ -432,7 +447,7 @@ def _command_grid(args: argparse.Namespace) -> int:
         return 1
 
     print("\nrun manifest:")
-    for line in evaluation.last_manifest.lines():
+    for line in manifest.lines():
         print(f"  {line}")
     print(f"\nrecords       : {len(records)}")
     print(f"records digest: {_records_digest(records)}")

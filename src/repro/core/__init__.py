@@ -11,13 +11,10 @@ from repro.core.regression import LinearFit, fit_linear
 from repro.core.report import (KEY_CHARACTERISTICS, ElbowSummary,
                                average_tfe_per_model, best_models,
                                characteristic_sensitivity, elbow_summaries)
-from repro.core.results import (RAW, CompressionRecord, ScenarioRecord,
-                                confidence_interval95, mean_over_seeds,
-                                tfe_table)
-from repro.core.scenario import Evaluation
+from repro.core.results import (RAW, ScenarioRecord, confidence_interval95,
+                                mean_over_seeds, tfe_table)
 from repro.core.shap import (ensemble_shap, expected_value,
                              mean_absolute_shap, shap_values, tree_shap)
-from repro.runtime.manifest import RunManifest
 
 __all__ = [
     "CompressionAdvisor",
@@ -40,13 +37,10 @@ __all__ = [
     "characteristic_sensitivity",
     "elbow_summaries",
     "RAW",
-    "CompressionRecord",
     "ScenarioRecord",
     "confidence_interval95",
     "mean_over_seeds",
     "tfe_table",
-    "Evaluation",
-    "RunManifest",
     "ensemble_shap",
     "expected_value",
     "mean_absolute_shap",

@@ -8,10 +8,10 @@ values must be picklable.
 The :class:`Cache` protocol formalizes what the task-graph scheduler and
 :class:`~repro.api.service.ApiService` actually require — the primitive
 ``contains`` / ``get`` / ``put`` triple, no ``compute`` closure — with
-two implementations: :class:`DiskCache` (content-addressed pickle files
-plus an in-memory layer; the result-coordination medium of the queue
-execution backend) and :class:`MemoryCache` (a plain dict for cacheless
-runs and tests).
+one implementation, :class:`DiskCache`: content-addressed files plus an
+in-memory layer, the result-coordination medium of the queue execution
+backend.  ``DiskCache(None)`` keeps the in-memory layer only, for
+cacheless runs and tests.
 """
 
 from __future__ import annotations
@@ -68,26 +68,6 @@ class Cache(Protocol):
     def put(self, key: str, value: Any) -> None: ...
 
 
-class MemoryCache:
-    """Dict-backed :class:`Cache` used when no DiskCache is supplied."""
-
-    def __init__(self) -> None:
-        self._store: dict[str, Any] = {}
-
-    def contains(self, key: str) -> bool:
-        return key in self._store
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._store.get(key, default)
-
-    def put(self, key: str, value: Any) -> None:
-        self._store[key] = value
-
-    def remove(self, key: str) -> None:
-        """Forget ``key`` entirely; a no-op when it was never stored."""
-        self._store.pop(key, None)
-
-
 # -- columnar on-disk format --------------------------------------------------
 #
 # Cache entries are written as a self-describing columnar container instead
@@ -134,12 +114,11 @@ def _adapters() -> dict[str, type]:
     global _ADAPTED_TYPES
     if _ADAPTED_TYPES is None:
         from repro.compression.base import CompressionResult
-        from repro.core.results import CompressionRecord, ScenarioRecord
+        from repro.core.results import ScenarioRecord
         from repro.datasets.timeseries import TimeSeries
         _ADAPTED_TYPES = {
             "TimeSeries": TimeSeries,
             "CompressionResult": CompressionResult,
-            "CompressionRecord": CompressionRecord,
             "ScenarioRecord": ScenarioRecord,
         }
     return _ADAPTED_TYPES

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.elbow import kneedle
-from repro.core.results import (CompressionRecord, ScenarioRecord,
-                                mean_over_seeds, tfe_table)
+from repro.core.results import ScenarioRecord, mean_over_seeds, tfe_table
+
+if TYPE_CHECKING:
+    from repro.api.responses import CompressResponse
 
 #: Table 6's five monitored characteristics
 KEY_CHARACTERISTICS = ("max_kl_shift", "max_level_shift", "seas_acf1",
@@ -34,7 +37,7 @@ class ElbowSummary:
 
 
 def elbow_summaries(records: list[ScenarioRecord],
-                    sweeps: dict[str, list[CompressionRecord]],
+                    sweeps: dict[str, list[CompressResponse]],
                     metric: str = "NRMSE") -> list[ElbowSummary]:
     """Extract per-model elbows of the TFE-vs-TE curves and take medians.
 
@@ -44,7 +47,7 @@ def elbow_summaries(records: list[ScenarioRecord],
     exactly how Table 5 is built.
     """
     tfe_by_cell = tfe_table(records, metric)
-    te_lookup: dict[tuple[str, str, float], CompressionRecord] = {}
+    te_lookup: dict[tuple[str, str, float], CompressResponse] = {}
     for dataset, sweep in sweeps.items():
         for record in sweep:
             te_lookup[(dataset, record.method, record.error_bound)] = record

@@ -14,18 +14,6 @@ RAW = "RAW"
 
 
 @dataclass(frozen=True)
-class CompressionRecord:
-    """One (dataset, method, error bound) compression outcome (RQ1)."""
-
-    dataset: str
-    method: str
-    error_bound: float
-    te: dict[str, float]  # metric name -> transformation error
-    compression_ratio: float
-    num_segments: int
-
-
-@dataclass(frozen=True)
 class ScenarioRecord:
     """One (dataset, model, method, error bound, seed) task outcome.
 

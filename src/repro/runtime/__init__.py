@@ -6,9 +6,9 @@ DAG (:mod:`repro.runtime.graph`) and executed through one shared cache
 by the backend-agnostic :mod:`repro.runtime.scheduler` on a pluggable
 :mod:`execution backend <repro.runtime.backends>` — serial in-process, a
 process pool, or a durable SQLite job queue with independent workers.
-The :class:`repro.core.scenario.Evaluation` façade builds these graphs;
-the ``repro-eval grid`` CLI command exposes them directly, and
-``repro-eval worker`` attaches extra queue workers to a live run.
+:class:`repro.api.service.ApiService` builds these graphs for every
+frontend (in-process calls, the ``repro-eval`` CLI and ``repro-serve``),
+and ``repro-eval worker`` attaches extra queue workers to a live run.
 """
 
 from repro.runtime.backends import (CompletionEvent, ExecutionBackend,

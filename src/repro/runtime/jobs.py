@@ -21,22 +21,18 @@ TaskGraph` builds the execution DAG, and compute their result in
 :meth:`~JobSpec.run` given a :class:`RuntimeContext` and the dependency
 results.  Jobs and their results are picklable, so the executor can ship
 them to worker processes.
-
-This module deliberately avoids importing :mod:`repro.core` at module
-level: ``repro.core.__init__`` imports the scenario façade, which imports
-this module, and an eager import back into ``repro.core`` would make the
-package unimportable from the ``repro.runtime`` side of the cycle.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import Any, ClassVar
 
 import numpy as np
 
 from repro.compression.registry import make as make_compressor
+from repro.core.results import RAW, ScenarioRecord
 from repro.datasets.registry import load
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -47,14 +43,6 @@ from repro.forecasting.base import Forecaster
 from repro.forecasting.registry import make as make_model
 from repro.forecasting.windows import paired_windows
 from repro.metrics.pointwise import METRICS
-
-if TYPE_CHECKING:
-    from repro.core.results import ScenarioRecord
-
-#: method label for uncompressed baselines; mirrors the literal value of
-#: ``repro.core.results.RAW`` (duplicated to keep this module importable
-#: without triggering the ``repro.core`` package cycle — pinned by a test)
-RAW = "RAW"
 
 #: bump to invalidate every runtime cache entry after a semantic change
 KEY_VERSION = 1
@@ -318,9 +306,7 @@ class ForecastJob(JobSpec):
         return (train,) if transform is None else (train, transform)
 
     def run(self, ctx: RuntimeContext, deps: dict[str, Any]
-            ) -> "ScenarioRecord":
-        from repro.core.results import ScenarioRecord
-
+            ) -> ScenarioRecord:
         model = deps[self.train_job().key()]
         transform = self.transform_job()
         input_values = (None if transform is None

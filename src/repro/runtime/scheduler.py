@@ -43,6 +43,7 @@ from __future__ import annotations
 import time
 from typing import Any
 
+from repro.core.cache import DiskCache
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.backends import ExecutionBackend
@@ -67,7 +68,7 @@ class Scheduler:
 
     Policy lives here; the backend only executes attempts.  ``cache`` is
     anything satisfying :class:`repro.core.cache.Cache` (``None`` uses a
-    private in-memory store); the queue backend additionally requires a
+    private in-memory ``DiskCache(None)``); the queue backend additionally requires a
     ``DiskCache`` so workers in other processes can see results.
     """
 
@@ -75,11 +76,7 @@ class Scheduler:
                  backend: ExecutionBackend | None = None,
                  job_timeout: float | None = None, job_retries: int = 0,
                  keep_going: bool = False) -> None:
-        # imported late: ``repro.core`` imports the scenario layer, which
-        # imports this module back through ``repro.runtime``
-        from repro.core.cache import MemoryCache
-
-        self.cache = cache if cache is not None else MemoryCache()
+        self.cache = cache if cache is not None else DiskCache(None)
         # runs attempts on this thread: every run that needs at most one
         # job, and every run when no other backend is given
         self._inline = SerialBackend()

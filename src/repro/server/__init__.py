@@ -1,8 +1,8 @@
 """``repro-serve``: a batching evaluation service over the grid runtime.
 
-The server package holds the third frontend of the typed API
-(:mod:`repro.api`) — next to the :class:`~repro.core.scenario.Evaluation`
-façade and the ``repro-eval`` CLI:
+The server package puts the typed API (:mod:`repro.api`) on HTTP, next
+to in-process :class:`~repro.api.service.ApiService` calls and the
+``repro-eval`` CLI:
 
 - :mod:`repro.server.app` — the :class:`ReproServer` daemon
   (``ThreadingHTTPServer``-based, stdlib only) and its ``serve`` entry

@@ -30,7 +30,7 @@ thread per connection, no new dependencies) exposing the typed API:
 
 Every response body is a tagged API payload (or an
 :class:`~repro.api.errors.ErrorEnvelope` with a 4xx/5xx status), produced
-by the same codec the CLI and the façade use.  Every request runs inside
+by the same codec the CLI uses.  Every request runs inside
 a ``server.request`` span, recorded in ``trace_dir``'s JSONL file when
 one is configured; without one, tracing is off.  ``/v1/metricz`` reads
 the daemon's live, cumulative metric registry.  Pool and queue workers
@@ -98,7 +98,8 @@ class _HttpServer(ThreadingHTTPServer):
     race the trace file.
     Non-daemon threads + ``block_on_close`` make shutdown deterministic;
     the handler closes every connection after one response (no
-    keep-alive), so no idle client can wedge the join.
+    keep-alive) and bounds every read by the request timeout, so neither
+    an idle client nor one that stops mid-body can wedge the join.
     """
 
     daemon_threads = False
@@ -323,6 +324,10 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
         # buffered writes: the status line, headers and body of a response
         # leave in one send when the handler flushes after the route
         wbufsize = 1 << 16
+        # socket timeout of every connection (set in ``setup``): a client
+        # that stalls in its request line, headers or body frees the
+        # handler thread, which ReproServer.stop() joins
+        timeout = server.request_timeout_s
 
         # -- plumbing ------------------------------------------------------
 
@@ -343,9 +348,23 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
             self.wfile.write(body)
             self.close_connection = True
 
+        def _content_length(self) -> int:
+            """The declared body length, refused unless a plain count."""
+            header = (self.headers.get("Content-Length") or "0").strip()
+            if not (header.isascii() and header.isdigit()):
+                raise ValidationError(
+                    f"invalid Content-Length {header!r} (expected a "
+                    "non-negative integer)", key="Content-Length")
+            return int(header)
+
         def _read_request(self, expect: type, optional: bool = False):
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
+            length = self._content_length()
+            try:
+                raw = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                raise ValidationError(
+                    f"request body of {length} bytes not received within "
+                    f"{server.request_timeout_s}s", key="body") from None
             if not raw:
                 if optional:
                     return expect().validate()
@@ -478,7 +497,6 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
                 # the buffered wfile holds the headers until a flush; a
                 # client gone already is a disconnect like any other
                 self.wfile.flush()
-                self.connection.settimeout(server.request_timeout_s)
                 for line in self._body_lines():
                     response = sessions.push(session_id,
                                              self._ingest_values(line))
@@ -550,7 +568,7 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
                         if line.strip():
                             yield line
             else:
-                length = int(self.headers.get("Content-Length") or 0)
+                length = self._content_length()
                 body = self.rfile.read(length)
                 if len(body) != length:
                     raise ConnectionError("EOF inside the request body")
@@ -639,7 +657,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "sessions")
     parser.add_argument("--request-timeout", type=float, default=600.0,
                         help="seconds a request may wait in a batch "
-                             "queue before a 504")
+                             "queue before a 504, and the socket read "
+                             "timeout of every connection")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-job attempt timeout in seconds")
     parser.add_argument("--retries", type=int, default=0,

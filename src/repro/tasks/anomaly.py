@@ -17,30 +17,26 @@ however many detectors score it.  The ground truth is memoized per
 process too (:meth:`~repro.runtime.jobs.RuntimeContext.raw_detections`):
 each detector runs on a dataset's raw test split once, not once per cell.
 
-Module-level import rule: like :mod:`repro.runtime.jobs` this module is
-imported inside queue-backend worker processes when an ``AnomalyJob``
-is unpickled, so the class must live at module scope; and like that
-module it must not import ``repro.core`` at module level (the package
-cycle documented there).
+Like :mod:`repro.runtime.jobs` this module is imported inside
+queue-backend worker processes when an ``AnomalyJob`` is unpickled, so
+the class must live at module scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import Any, ClassVar
 
 import numpy as np
 
+from repro.core.results import RAW, ScenarioRecord
 # unused, but benchmarks/e2e/tracing.py wraps this module's compute_all
 from repro.features.registry import compute_all  # noqa: F401
 from repro.obs import trace as obs_trace
-from repro.runtime.jobs import (RAW, CompressJob, FeatureJob, JobSpec,
+from repro.runtime.jobs import (CompressJob, FeatureJob, JobSpec,
                                 RuntimeContext)
 from repro.tasks.detectors import f1_score, match_detections
 from repro.tasks.detectors import make as make_detector
-
-if TYPE_CHECKING:
-    from repro.core.results import ScenarioRecord
 
 #: detections within this many ticks of a true event count as hits
 DEFAULT_TOLERANCE = 24
@@ -77,9 +73,7 @@ class AnomalyJob(JobSpec):
         return () if transform is None else (transform, self.feature_job())
 
     def run(self, ctx: RuntimeContext, deps: dict[str, Any]
-            ) -> "ScenarioRecord":
-        from repro.core.results import ScenarioRecord
-
+            ) -> ScenarioRecord:
         detector = make_detector(self.model, **dict(self.model_kwargs))
         transform = self.transform_job()
         if transform is None:

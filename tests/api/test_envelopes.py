@@ -2,8 +2,8 @@
 
 Regression-pins the ``ErrorEnvelope`` wire schema and verifies that a
 failing grid cell surfaces *identically* through the runtime
-(``FailureRecord`` / fail-fast ``JobError``), the façade
-(``Evaluation.last_failure_envelopes``), and the server
+(``FailureRecord`` / fail-fast ``JobError``), the in-process service
+(``ApiService.failure_envelopes()``), and the server
 (``/v1/runs/{id}``).  A key or field drifting in any one of them breaks
 clients of the other two — this file is the tripwire.
 """
@@ -75,16 +75,15 @@ def failing_config(tmp_path, monkeypatch):
 
 
 def test_facade_and_server_report_the_same_envelopes(failing_config):
-    from repro.api import GridRequest, loads, dumps
-    from repro.core.scenario import Evaluation
+    from repro.api import ApiService, GridRequest, loads, dumps
     from repro.server.app import ReproServer
     from repro.server.client import ReproClient
 
-    evaluation = Evaluation(failing_config)
-    records = evaluation.grid_records()
-    facade_envelopes = evaluation.last_failure_envelopes
+    service = ApiService(failing_config)
+    records, _ = service.grid(GridRequest())
+    service_envelopes = service.failure_envelopes()
     assert records, "healthy PMC cells must survive the SWING failure"
-    assert facade_envelopes, "the injected SWING failure must be reported"
+    assert service_envelopes, "the injected SWING failure must be reported"
 
     with ReproServer(failing_config, port=0) as server:
         client = ReproClient(port=server.port)
@@ -94,7 +93,7 @@ def test_facade_and_server_report_the_same_envelopes(failing_config):
     assert done.status == "done"
     # identical serialization: same envelope payloads, frontend-independent
     assert ([encode(e) for e in done.failures]
-            == [encode(e) for e in facade_envelopes])
+            == [encode(e) for e in service_envelopes])
     # and the wire round trip preserves them exactly
     for envelope in done.failures:
         assert loads(dumps(envelope)) == envelope

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (RAW, CompressionRecord, ScenarioRecord,
-                        average_tfe_per_model, best_models,
-                        characteristic_sensitivity, elbow_summaries)
+from repro.api import CompressResponse
+from repro.core import (RAW, ScenarioRecord, average_tfe_per_model,
+                        best_models, characteristic_sensitivity,
+                        elbow_summaries)
 
 EBS = (0.01, 0.05, 0.1, 0.2, 0.4, 0.8)
 
@@ -31,7 +32,9 @@ def make_records():
 
 def make_sweep():
     return {"DS": [
-        CompressionRecord("DS", "PMC", eb, {"NRMSE": eb / 10}, 2.0 + 30 * eb, 100)
+        CompressResponse("DS", "PMC", eb, part="full", compressed_size=1_000,
+                         compression_ratio=2.0 + 30 * eb, num_segments=100,
+                         te={"NRMSE": eb / 10})
         for eb in EBS
     ]}
 

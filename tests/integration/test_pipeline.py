@@ -1,15 +1,17 @@
-"""End-to-end integration tests for the Evaluation engine (fast models)."""
+"""End-to-end integration tests for the evaluation engine (fast models)."""
 
 import numpy as np
 import pytest
 
-from repro.core import (Evaluation, EvaluationConfig, analyze_importance,
+from repro.api import (ApiService, CompressRequest, CompressResponse,
+                       GridRequest)
+from repro.core import (EvaluationConfig, analyze_importance,
                         elbow_summaries, mean_over_seeds, tfe_table)
 from repro.core.results import RAW
 
 
 @pytest.fixture(scope="module")
-def evaluation(tmp_path_factory):
+def service(tmp_path_factory):
     config = EvaluationConfig(
         datasets=("ETTm1",),
         models=("Arima", "DLinear"),
@@ -24,16 +26,31 @@ def evaluation(tmp_path_factory):
         cache_dir=str(tmp_path_factory.mktemp("cache")),
         model_kwargs={"DLinear": {"epochs": 15, "kernel": 9}},
     )
-    return Evaluation(config)
+    return ApiService(config)
 
 
 @pytest.fixture(scope="module")
-def records(evaluation):
+def records(service):
     out = []
-    for model in evaluation.config.models:
-        out += evaluation.baseline_records(model, "ETTm1")
-        out += evaluation.scenario_records(model, "ETTm1")
+    for model in service.config.models:
+        out += service.grid(GridRequest(datasets=("ETTm1",),
+                                        models=(model,)))[0]
     return out
+
+
+def compression_sweep(service, dataset):
+    """Every configured (method, bound) cell over the full series."""
+    config = service.config
+    return [response for response in service.compress_batch(
+                [CompressRequest(dataset, method, bound)
+                 for method in config.compressors
+                 for bound in config.error_bounds])
+            if isinstance(response, CompressResponse)]
+
+
+def trained_model(service, model, dataset, seed):
+    job = service.train_job(model, dataset, seed)
+    return service.run_jobs([job])[job.key()]
 
 
 def test_baseline_beats_trivial_levels(records):
@@ -58,35 +75,40 @@ def test_tfe_small_at_low_bound_large_at_high_bound(records):
         assert abs(low) < 0.5  # mild impact at a low bound
 
 
-def test_compression_sweep_has_monotone_cr(evaluation):
-    sweep = evaluation.compression_sweep("ETTm1")
+def test_compression_sweep_has_monotone_cr(service):
+    sweep = compression_sweep(service, "ETTm1")
     for method in ("PMC", "SWING"):
         ratios = [r.compression_ratio for r in sweep if r.method == method]
         assert ratios[0] < ratios[-1]
 
 
-def test_gorilla_ratio_positive(evaluation):
-    assert evaluation.gorilla_ratio("ETTm1") > 0.5
+def test_gorilla_ratio_positive(service):
+    gorilla, = service.compress_batch([CompressRequest("ETTm1", "GORILLA",
+                                                       0.0)])
+    assert gorilla.compression_ratio > 0.5
 
 
-def test_transformed_split_respects_bound(evaluation):
+def test_transformed_split_respects_bound(service):
     from repro.compression import check_error_bound
 
-    raw = evaluation.split("ETTm1").test.target_series
-    transformed = evaluation.transformed_split("ETTm1", "PMC", 0.2)
+    raw = service.split("ETTm1").test.target_series
+    transformed = service.transform(
+        CompressRequest("ETTm1", "PMC", 0.2, part="test")).decompressed
     assert check_error_bound(raw, transformed, 0.2)
 
 
-def test_elbow_summaries_produced(evaluation, records):
-    sweeps = {"ETTm1": evaluation.compression_sweep("ETTm1")}
+def test_elbow_summaries_produced(service, records):
+    sweeps = {"ETTm1": compression_sweep(service, "ETTm1")}
     summaries = elbow_summaries(records, sweeps)
     assert {s.method for s in summaries} == {"PMC", "SWING"}
     for summary in summaries:
-        assert summary.error_bound in evaluation.config.error_bounds
+        assert summary.error_bound in service.config.error_bounds
 
 
-def test_characteristic_deltas_and_importance(evaluation, records):
-    deltas = {"ETTm1": evaluation.characteristic_deltas("ETTm1")}
+def test_characteristic_deltas_and_importance(service, records):
+    config = service.config
+    deltas = {"ETTm1": service.feature_deltas("ETTm1", config.compressors,
+                                              config.error_bounds)}
     analysis = analyze_importance(deltas, records, n_estimators=40)
     assert analysis.x.shape[1] == 42
     assert len(analysis.shap_ranking) == 42
@@ -96,22 +118,23 @@ def test_characteristic_deltas_and_importance(evaluation, records):
     assert importances == sorted(importances, reverse=True)
 
 
-def test_retrain_records_shape(evaluation):
-    records = evaluation.retrain_records(
-        "Arima", "ETTm1", methods=("PMC",), error_bounds=(0.2,))
+def test_retrain_records_shape(service):
+    records, _ = service.grid(GridRequest(
+        datasets=("ETTm1",), models=("Arima",), methods=("PMC",),
+        error_bounds=(0.2,), include_baseline=False, retrained=True))
     assert len(records) == 1
     assert records[0].retrained
 
 
-def test_model_cache_returns_same_instance(evaluation):
-    a = evaluation.trained_model("Arima", "ETTm1", 0)
-    b = evaluation.trained_model("Arima", "ETTm1", 0)
+def test_model_cache_returns_same_instance(service):
+    a = trained_model(service, "Arima", "ETTm1", 0)
+    b = trained_model(service, "Arima", "ETTm1", 0)
     assert a is b
 
 
-def test_predictions_deterministic_across_cache(evaluation):
-    raw = evaluation.split("ETTm1").test.target_series.values
+def test_predictions_deterministic_across_cache(service):
+    raw = service.split("ETTm1").test.target_series.values
     from repro.forecasting import make_windows
     x, _ = make_windows(raw, 48, 12, stride=12)
-    model = evaluation.trained_model("DLinear", "ETTm1", 0)
+    model = trained_model(service, "DLinear", "ETTm1", 0)
     assert np.array_equal(model.predict(x), model.predict(x))

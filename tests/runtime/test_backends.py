@@ -10,7 +10,7 @@ from typing import ClassVar
 
 import pytest
 
-from repro.core.cache import DiskCache, MemoryCache
+from repro.core.cache import DiskCache
 from repro.runtime.backends import make_backend
 from repro.runtime.backends.pool import PoolBackend
 from repro.runtime.backends.queue import QueueBackend
@@ -88,7 +88,7 @@ def test_queue_backend_requires_a_disk_cache():
     _, _, _, top = diamond()
     graph = TaskGraph()
     graph.add(top)
-    executor = Scheduler(MemoryCache(),
+    executor = Scheduler(DiskCache(None),
                          backend=make_backend("queue", max_workers=2))
     with pytest.raises(ValueError, match="DiskCache"):
         executor.run(graph)

@@ -5,8 +5,9 @@ from typing import ClassVar
 
 import pytest
 
-from repro.core import Evaluation, EvaluationConfig
-from repro.core.cache import DiskCache, MemoryCache
+from repro.api import ApiService, ForecastRequest, GridRequest
+from repro.core import EvaluationConfig
+from repro.core.cache import DiskCache
 from repro.runtime.backends import make_backend
 from repro.runtime.graph import TaskGraph
 from repro.runtime.jobs import JobSpec
@@ -150,13 +151,14 @@ def test_corrupt_cache_entry_recovers(tmp_path):
 
 
 def test_memory_cache_fallback_single_flights_across_runs():
-    executor = Scheduler()  # MemoryCache
+    executor = Scheduler()  # in-memory DiskCache(None)
     _, _, _, top = diamond()
     run_targets(executor, top)
     CALLS.clear()
     run_targets(executor, top)
     assert CALLS == []
-    assert isinstance(executor.cache, MemoryCache)
+    assert isinstance(executor.cache, DiskCache)
+    assert executor.cache.directory is None
 
 
 def test_parallel_matches_serial_on_stub_graph(tmp_path):
@@ -186,23 +188,24 @@ def _tiny_config(cache_dir, workers):
 
 
 def test_serial_and_parallel_grids_are_byte_identical(tmp_path):
-    serial = Evaluation(_tiny_config(str(tmp_path / "serial"), 1))
-    parallel = Evaluation(_tiny_config(str(tmp_path / "parallel"), 2))
-    records_serial = serial.grid_records()
-    records_parallel = parallel.grid_records()
+    serial = ApiService(_tiny_config(str(tmp_path / "serial"), 1))
+    parallel = ApiService(_tiny_config(str(tmp_path / "parallel"), 2))
+    records_serial, _ = serial.grid(GridRequest())
+    records_parallel, _ = parallel.grid(GridRequest())
     assert records_serial == records_parallel  # dataclass equality is exact
     assert parallel.last_manifest.executed == parallel.last_manifest.total
 
 
 def test_evaluation_reports_manifest(tmp_path):
-    evaluation = Evaluation(_tiny_config(str(tmp_path), 1))
-    assert evaluation.last_manifest is None
-    evaluation.baseline_records("Arima", "ETTm1")
-    manifest = evaluation.last_manifest
+    service = ApiService(_tiny_config(str(tmp_path), 1))
+    assert service.last_manifest is None
+    baseline = [ForecastRequest("Arima", "ETTm1", seed=0)]
+    service.forecast_batch(baseline)
+    manifest = service.last_manifest
     assert manifest.total == 2  # train + forecast
     assert manifest.executed == 2
 
-    evaluation.baseline_records("Arima", "ETTm1")
+    service.forecast_batch(baseline)
     # warm rerun plans only the cached forecast target (train stays pruned)
-    assert evaluation.last_manifest.cached == evaluation.last_manifest.total == 1
-    assert evaluation.last_manifest.executed == 0
+    assert service.last_manifest.cached == service.last_manifest.total == 1
+    assert service.last_manifest.executed == 0

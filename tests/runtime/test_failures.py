@@ -8,7 +8,8 @@ from typing import ClassVar
 
 import pytest
 
-from repro.core import Evaluation, EvaluationConfig
+from repro.api import ApiService, GridRequest
+from repro.core import EvaluationConfig
 from repro.core.cache import DiskCache
 from repro.runtime.backends import make_backend
 from repro.runtime.deadline import JobTimeoutError
@@ -348,19 +349,19 @@ def test_injected_crash_in_one_cell_of_parallel_grid(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_INJECT_FAILURE", "forecast:SWING:0.4")
     before = multiprocessing.active_children()
 
-    serial = Evaluation(_grid_config(str(tmp_path / "serial"), 1,
+    serial = ApiService(_grid_config(str(tmp_path / "serial"), 1,
                                      keep_going=True))
-    records_serial = serial.grid_records()
+    records_serial, _ = serial.grid(GridRequest())
 
-    parallel = Evaluation(_grid_config(str(tmp_path / "parallel"), 2,
+    parallel = ApiService(_grid_config(str(tmp_path / "parallel"), 2,
                                        keep_going=True))
-    records_parallel = parallel.grid_records()
+    records_parallel, _ = parallel.grid(GridRequest())
 
     # 1 baseline + 4 lossy cells, one of which failed
     assert len(records_parallel) == 4
     assert records_serial == records_parallel  # byte-identical healthy cells
-    for evaluation in (serial, parallel):
-        (failure,) = evaluation.last_failures
+    for service in (serial, parallel):
+        (failure,) = service.last_failures
         assert failure.kind == "forecast"
         assert "SWING" in failure.description
     assert not any(r.method == "SWING" and r.error_bound == 0.4
@@ -368,8 +369,8 @@ def test_injected_crash_in_one_cell_of_parallel_grid(tmp_path, monkeypatch):
     assert_no_leaked_workers(before)
 
     # without keep-going the same crash aborts the run with a JobError
-    strict = Evaluation(_grid_config(str(tmp_path / "strict"), 2))
+    strict = ApiService(_grid_config(str(tmp_path / "strict"), 2))
     with pytest.raises(JobError) as excinfo:
-        strict.grid_records()
+        strict.grid(GridRequest())
     assert excinfo.value.kind == "forecast"
     assert_no_leaked_workers(before)

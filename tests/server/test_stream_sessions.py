@@ -27,7 +27,7 @@ from repro.api import StreamOpenRequest, encode
 from repro.api.errors import ApiError
 from repro.compression.streaming import (OnlinePMC, reconstruct,
                                          segments_payload)
-from repro.core.cache import DiskCache, MemoryCache
+from repro.core.cache import DiskCache
 from repro.core.config import EvaluationConfig
 from repro.server.app import ReproServer
 from repro.server.client import ReproClient, ServerError
@@ -56,7 +56,7 @@ def _local(values, error_bound=0.1):
 
 
 def test_lifecycle_counts_return_to_zero():
-    manager = SessionManager(cache=MemoryCache())
+    manager = SessionManager(cache=DiskCache(None))
     opened = _open(manager)
     assert manager.live() == manager.resident() == 1
     response = manager.push(opened.session_id, [1.0, 1.0, 9.0])
@@ -70,7 +70,7 @@ def test_lifecycle_counts_return_to_zero():
 
 
 def test_admission_cap_sheds_with_429():
-    manager = SessionManager(cache=MemoryCache(), max_sessions=2)
+    manager = SessionManager(cache=DiskCache(None), max_sessions=2)
     _open(manager)
     _open(manager)
     with pytest.raises(ApiError) as excinfo:
@@ -82,7 +82,7 @@ def test_admission_cap_sheds_with_429():
 def test_evicted_sessions_still_count_against_admission():
     # the admission ledger spans resident + snapshotted sessions: a
     # resident cap of 1 must not widen the admission cap of 2
-    manager = SessionManager(cache=MemoryCache(), max_sessions=2,
+    manager = SessionManager(cache=DiskCache(None), max_sessions=2,
                              max_resident=1)
     _open(manager)
     _open(manager)
@@ -94,7 +94,7 @@ def test_evicted_sessions_still_count_against_admission():
 
 def test_ttl_expiry_via_sweep_and_lazy_access():
     clock = FakeClock()
-    manager = SessionManager(cache=MemoryCache(), ttl_s=10.0, clock=clock)
+    manager = SessionManager(cache=DiskCache(None), ttl_s=10.0, clock=clock)
     lazy = _open(manager)
     swept = _open(manager)
     clock.now += 11.0
@@ -108,7 +108,7 @@ def test_ttl_expiry_via_sweep_and_lazy_access():
 
 def test_per_session_ttl_overrides_default():
     clock = FakeClock()
-    manager = SessionManager(cache=MemoryCache(), ttl_s=1_000.0, clock=clock)
+    manager = SessionManager(cache=DiskCache(None), ttl_s=1_000.0, clock=clock)
     short = _open(manager, ttl_s=5.0)
     long = _open(manager)
     clock.now += 6.0
@@ -122,7 +122,7 @@ def test_per_session_ttl_overrides_default():
 def test_eviction_mid_segment_is_byte_invisible():
     rng = np.random.default_rng(21)
     values = (20 + rng.normal(0, 1, 400).cumsum() * 0.1).tolist()
-    manager = SessionManager(cache=MemoryCache(), max_resident=1)
+    manager = SessionManager(cache=DiskCache(None), max_resident=1)
     a = _open(manager)
     b = _open(manager)  # evicts a
     segments = {a.session_id: [], b.session_id: []}
@@ -182,7 +182,7 @@ def test_ttl_is_wall_clock_across_restart(tmp_path):
 def test_discard_race_cannot_resurrect_session():
     # a push racing a discard: the discard wins and the late persist is
     # dropped, so the snapshot cannot re-appear after teardown
-    cache = MemoryCache()
+    cache = DiskCache(None)
     manager = SessionManager(cache=cache)
     opened = _open(manager)
     session = manager._checkout(opened.session_id)
@@ -198,7 +198,7 @@ def test_discard_race_cannot_resurrect_session():
 
 
 def test_rolling_forecast_refreshes_every_k_segments():
-    manager = SessionManager(cache=MemoryCache())
+    manager = SessionManager(cache=DiskCache(None))
     opened = _open(manager, forecast_every=2, horizon=3,
                    forecaster="Naive", error_bound=0.01)
     first = manager.push(opened.session_id, [1.0, 1.0, 5.0, 5.0, 9.0])

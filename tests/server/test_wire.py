@@ -9,6 +9,11 @@
   one socket send.
 - An ``/ingest`` client that resets before the response starts has its
   session discarded at once, not left alive until its TTL.
+- A ``Content-Length`` that is not a non-negative integer is refused with
+  a ``validation`` envelope before any body byte is read.
+- A body that stops arriving is answered with a ``validation`` envelope
+  once the request timeout passes, so a stalled client holds neither a
+  handler thread nor :meth:`ReproServer.stop` for longer than that.
 """
 
 import contextlib
@@ -16,6 +21,7 @@ import json
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
@@ -191,3 +197,67 @@ def test_ingest_client_gone_before_the_response_drops_its_session(
     assert excinfo.value.status == 404
     after = client.metricz()["counters"]["server.stream.disconnects"]
     assert after == before + 1
+
+
+def _read_response(sock) -> tuple[int, dict]:
+    """Status and JSON body of the one response a connection carries."""
+    raw = b""
+    while block := sock.recv(65536):
+        raw += block
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+def _post_head(length: str) -> bytes:
+    return (f"POST /v1/compress HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode()
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+def test_a_bad_content_length_is_a_400_before_any_read(server, length):
+    # "-1" would read until the client hangs up; the client here waits
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=5.0) as sock:
+        sock.sendall(_post_head(length))
+        status, payload = _read_response(sock)
+    assert status == 400
+    assert payload["type"] == "ErrorEnvelope"
+    assert payload["kind"] == "validation"
+    assert payload["key"] == "Content-Length"
+
+
+def _wait_for_requests(server, count: int) -> None:
+    """Block until the server has dispatched ``count`` requests in all."""
+    deadline = time.monotonic() + 5.0
+    while (server.metric_totals()["counters"].get("server.requests", 0)
+           < count):
+        assert time.monotonic() < deadline, "request never dispatched"
+        time.sleep(0.01)
+
+
+def test_a_stalled_body_is_a_400_and_does_not_hold_up_stop():
+    server = ReproServer(_config(), port=0, request_timeout_s=1.0).start()
+    stopper = threading.Thread(target=server.stop)
+    before = server.metric_totals()["counters"].get("server.requests", 0)
+    sock = socket.create_connection(("127.0.0.1", server.port),
+                                    timeout=10.0)
+    try:
+        # a few of the hundred announced body bytes, then silence
+        sock.sendall(_post_head("100") + b'{"type": ')
+        _wait_for_requests(server, before + 1)
+        started = time.monotonic()
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), (
+            f"stop() still blocked after {time.monotonic() - started:.1f}s")
+        # the client is still connected: the answer is waiting for it
+        status, payload = _read_response(sock)
+    finally:
+        sock.close()
+        if stopper.ident is None:
+            server.stop()
+        else:
+            stopper.join()
+    assert status == 400
+    assert payload["kind"] == "validation"
+    assert payload["key"] == "body"
