@@ -3,7 +3,9 @@
 Training seven models on six datasets dominates the cost of regenerating
 the paper's tables; caching trained models on disk makes each bench
 incremental.  Keys are human-readable strings hashed into file names;
-values must be picklable.
+values must be picklable.  A key may also own an append-only journal of
+checksummed records beside its entry (stream sessions log each push
+there between full snapshots).
 
 The :class:`Cache` protocol formalizes what the task-graph scheduler and
 :class:`~repro.api.service.ApiService` actually require — the primitive
@@ -23,11 +25,15 @@ import json
 import os
 import pickle
 import struct
+import zlib
 from collections.abc import Callable
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.compression.base import CompressionResult
+from repro.core.results import ScenarioRecord
+from repro.datasets.timeseries import TimeSeries
 from repro.obs.metrics import inc as _metric_inc
 
 #: sentinel distinguishing "no cached value" from a cached ``None``
@@ -101,27 +107,8 @@ _FORMAT_VERSION = 1
 _ALIGNMENT = 64
 
 #: dataclasses encoded field-by-field so their array payloads stay columnar
-_ADAPTED_TYPES: dict[str, type] | None = None
-
-
-def _adapters() -> dict[str, type]:
-    """Name -> class for the dataclasses the format encodes structurally.
-
-    Imported lazily: the record types live above this module in the import
-    graph (they pull in compressors and metrics), so importing them at
-    module load would be a cycle.
-    """
-    global _ADAPTED_TYPES
-    if _ADAPTED_TYPES is None:
-        from repro.compression.base import CompressionResult
-        from repro.core.results import ScenarioRecord
-        from repro.datasets.timeseries import TimeSeries
-        _ADAPTED_TYPES = {
-            "TimeSeries": TimeSeries,
-            "CompressionResult": CompressionResult,
-            "ScenarioRecord": ScenarioRecord,
-        }
-    return _ADAPTED_TYPES
+_ADAPTED = {cls.__name__: cls
+            for cls in (TimeSeries, CompressionResult, ScenarioRecord)}
 
 
 def _align(offset: int) -> int:
@@ -157,7 +144,7 @@ def _encode(value: Any, columns: list[bytes]) -> Any:
         return {tag: [_encode(item, columns) for item in value]}
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         return {"d": {k: _encode(v, columns) for k, v in value.items()}}
-    cls = _adapters().get(type(value).__name__)
+    cls = _ADAPTED.get(type(value).__name__)
     if cls is not None and type(value) is cls:
         return {"o": [type(value).__name__,
                       {f.name: _encode(getattr(value, f.name), columns)
@@ -207,7 +194,7 @@ def _decode(node: Any, column: Callable[[int], np.ndarray]) -> Any:
         return {key: _decode(item, column) for key, item in body.items()}
     if tag == "o":
         name, fields = body
-        cls = _adapters()[name]  # KeyError -> corrupt/stale entry
+        cls = _ADAPTED[name]  # KeyError -> corrupt/stale entry
         return cls(**{key: _decode(item, column) for key, item in fields.items()})
     if tag == "p":
         return pickle.loads(column(body).tobytes())
@@ -244,12 +231,33 @@ def _load_columnar(path: str) -> tuple[Any, int]:
     return _decode(header["tree"], column), int(mapping.size)
 
 
+# -- journals -----------------------------------------------------------------
+#
+# A key's journal is a file of framed records beside its entry:
+#
+#   payload length, uint32 LE (4) | CRC32 of the payload, uint32 LE (4)
+#   payload bytes
+#
+# Records are only ever appended.  A crash mid-append leaves a short final
+# record, which a reader drops (and cuts from the file).  A whole record
+# whose checksum fails is not a torn append but damage, and is refused.
+
+#: the frame before each journal record's payload: length, CRC32
+JOURNAL_FRAME = struct.Struct("<II")
+
+
+class CorruptJournal(ValueError):
+    """A journal that cannot be replayed as written: a complete record
+    whose checksum fails, or records that do not continue each other."""
+
+
 class DiskCache:
     """A key -> columnar file cache with an in-memory layer.
 
     Entries are stored in the zero-copy columnar format above; array
     payloads come back as memory-mapped views.  Files that predate the
     format (or whose magic does not match) fall back to ``pickle.load``.
+    Journals (:meth:`append`, :meth:`journal`) live on disk only.
     """
 
     def __init__(self, directory: str | None) -> None:
@@ -258,9 +266,9 @@ class DiskCache:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
 
-    def _path(self, key: str) -> str:
+    def _path(self, key: str, suffix: str = ".pkl") -> str:
         digest = hashlib.sha1(key.encode()).hexdigest()[:24]
-        return os.path.join(self.directory, f"{digest}.pkl")
+        return os.path.join(self.directory, f"{digest}{suffix}")
 
     def contains(self, key: str) -> bool:
         """Whether an entry exists in memory or on disk (no deserialization).
@@ -317,15 +325,17 @@ class DiskCache:
             value = pickle.load(handle)
             return value, handle.tell()
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: str, value: Any) -> int:
         """Store ``value`` under ``key`` in memory and (atomically) on disk.
 
+        Returns the bytes written to disk (0 for a memory-only cache).
         The temporary file is pid-suffixed so two processes sharing one
         cache directory cannot clobber each other's half-written entry,
         and it is removed if serialization fails partway — a failed ``put``
         never leaves a stray ``.tmp``, a torn final file, or a phantom
         in-memory entry behind.
         """
+        written = 0
         if self.directory is not None:
             temporary = f"{self._path(key)}.{os.getpid()}.tmp"
             try:
@@ -337,11 +347,64 @@ class DiskCache:
                     os.remove(temporary)
                 raise
             os.replace(temporary, self._path(key))
+            written = len(blob)
         self._memory[key] = value
         _metric_inc("cache.put")
+        return written
+
+    def append(self, key: str, payload: bytes) -> int:
+        """Append one framed record to ``key``'s journal; returns the
+        bytes written (frame included).  Needs a cache directory."""
+        frame = JOURNAL_FRAME.pack(len(payload), zlib.crc32(payload))
+        with open(self._path(key, ".journal"), "ab") as handle:
+            handle.write(frame + payload)
+        return JOURNAL_FRAME.size + len(payload)
+
+    def journal(self, key: str) -> tuple[list[bytes], int]:
+        """The payloads of ``key``'s journal, oldest first, and the bytes
+        they take on disk; ``([], 0)`` when there is none.
+
+        A short final record (a torn append) is dropped, and the file is
+        cut back to the last whole record so the next append continues a
+        well-formed journal.  A whole record whose checksum fails raises
+        :class:`CorruptJournal`.
+        """
+        if self.directory is None:
+            return [], 0
+        path = self._path(key, ".journal")
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return [], 0
+        payloads = []
+        offset = 0
+        while offset + JOURNAL_FRAME.size <= len(data):
+            length, checksum = JOURNAL_FRAME.unpack_from(data, offset)
+            start = offset + JOURNAL_FRAME.size
+            if start + length > len(data):
+                break
+            payload = data[start:start + length]
+            if zlib.crc32(payload) != checksum:
+                raise CorruptJournal(
+                    f"journal record at byte {offset} of {path} fails its "
+                    "checksum")
+            payloads.append(payload)
+            offset = start + length
+        if offset < len(data):
+            os.truncate(path, offset)
+            _metric_inc("cache.journal_torn")
+        return payloads, offset
+
+    def remove_journal(self, key: str) -> None:
+        """Delete ``key``'s journal (its records are in a newer entry)."""
+        if self.directory is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self._path(key, ".journal"))
 
     def remove(self, key: str) -> None:
-        """Drop ``key`` from memory AND disk; a no-op on a miss.
+        """Drop ``key`` from memory AND disk, journal included; a no-op
+        on a miss.
 
         Most cache entries are content-addressed and immutable, so they
         never need removal — but stream-session snapshots are mutable
@@ -353,6 +416,7 @@ class DiskCache:
         if self.directory is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(self._path(key))
+            self.remove_journal(key)
         _metric_inc("cache.remove")
 
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:

@@ -16,17 +16,25 @@ thread per connection, no new dependencies) exposing the typed API:
   envelopes, and the completed records once done;
 - ``POST /v1/trace`` — renders a recorded run directory;
 - ``GET /v1/healthz`` / ``GET /v1/metricz`` — liveness and the daemon
-  process's metric totals (batch occupancy, queue waits, cache probes);
+  process's metric totals (batch occupancy, queue waits, cache probes,
+  ``server.connections`` accepted against ``server.requests`` served);
 - ``POST /v1/stream`` + ``/v1/stream/{id}[/push|/close|/ingest]`` —
   live streaming sessions: per-session online compression + rolling
   forecasts, managed by the :class:`~repro.server.sessions.
   SessionManager` (admission-bounded via ``--max-sessions``, TTL/LRU
-  evicted, snapshot-restored through the shared ``DiskCache``).
+  evicted, restored from a snapshot plus a journal of pushes in the
+  shared ``DiskCache``).
   ``/ingest`` speaks chunked NDJSON both ways: each request line is a
   JSON array of ticks, each response line the tagged
   ``StreamPushResponse`` it produced, interleaved as segments close —
   and a client that vanishes mid-request has its session torn down
   immediately, not at TTL.
+
+Connections are HTTP/1.1 persistent: a 2xx answer leaves the
+connection open for the client's next request, so a stream session's
+pushes need no new connection each.  Every non-2xx answer, every
+``/ingest`` answer and every answer once :meth:`ReproServer.stop` has
+begun closes it.
 
 Every response body is a tagged API payload (or an
 :class:`~repro.api.errors.ErrorEnvelope` with a 4xx/5xx status), produced
@@ -59,8 +67,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import socket
 import sys
 import threading
+import time
 import urllib.parse
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -84,6 +94,8 @@ from repro.obs.log import get_logger
 from repro.obs.trace import WALL
 from repro.runtime.manifest import JobError
 from repro.runtime.store import RunStore
+from repro.server.batching import MicroBatcher
+from repro.server.sessions import SessionManager
 
 _log = get_logger("repro.server")
 
@@ -96,14 +108,68 @@ class _HttpServer(ThreadingHTTPServer):
     span-per-request accounting of ``tests/server/test_server.py::
     test_trace_dir_holds_one_request_span_per_served_request`` would
     race the trace file.
-    Non-daemon threads + ``block_on_close`` make shutdown deterministic;
-    the handler closes every connection after one response (no
-    keep-alive) and bounds every read by the request timeout, so neither
-    an idle client nor one that stops mid-body can wedge the join.
+    Non-daemon threads + ``block_on_close`` make shutdown deterministic.
+
+    Connections are kept alive between requests.  A kept-alive
+    connection waits for its next request line inside the stdlib
+    ``handle_one_request``, bounded by the request timeout like any
+    socket read; a request body is bounded by one deadline for all of
+    it.  So that the join does not wait out those timeouts,
+    :meth:`ReproServer.stop` shuts down the socket of every connection
+    that is not serving a request (idle, or its request head still
+    arriving), so its read sees EOF at once, and marks the busy ones to
+    close after their answer, which they still send.
     """
 
     daemon_threads = False
     block_on_close = True
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        #: handlers of the open connections; the lock guards this set,
+        #: ``stopping`` and each handler's ``busy``/``ended`` flags
+        self.connections: set = set()
+        self.lock = threading.Lock()
+        self.stopping = False
+
+    def opened(self, handler) -> None:
+        obs_metrics.inc("server.connections")
+        with self.lock:
+            self.connections.add(handler)
+            if self.stopping:
+                self._end(handler)
+
+    def closed(self, handler) -> None:
+        with self.lock:
+            self.connections.discard(handler)
+
+    def request_began(self, handler) -> bool:
+        """Mark a connection busy; False if it was already ended."""
+        with self.lock:
+            handler.busy = not handler.ended
+            return handler.busy
+
+    def request_done(self, handler) -> bool:
+        """Mark a connection idle; True if it must close (stopping)."""
+        with self.lock:
+            handler.busy = False
+            return self.stopping
+
+    def end_idle_connections(self) -> None:
+        """Begin stopping: end every idle connection now, and every busy
+        one once its answer is sent."""
+        with self.lock:
+            self.stopping = True
+            for handler in self.connections:
+                if not handler.busy:
+                    self._end(handler)
+
+    @staticmethod
+    def _end(handler) -> None:
+        """End an idle connection: its pending read returns EOF."""
+        handler.ended = True
+        with contextlib.suppress(OSError):
+            handler.connection.shutdown(socket.SHUT_RDWR)
 
 
 #: sentinel payload: the route already wrote its own (streamed) response
@@ -120,9 +186,6 @@ class ReproServer:
                  session_ttl_s: float = 3600.0,
                  max_resident_sessions: int | None = None,
                  session_sweep_s: float = 10.0) -> None:
-        from repro.server.batching import MicroBatcher
-        from repro.server.sessions import SessionManager
-
         # remember the ambient obs state so stop() can restore it — the
         # service configures tracing when config.trace_dir is set, and
         # start() enables metrics regardless
@@ -189,8 +252,13 @@ class ReproServer:
         return self
 
     def stop(self) -> None:
-        """Shut down the listener and batchers; restore ambient obs state."""
+        """Shut down the listener and batchers; restore ambient obs state.
+
+        Idle kept-alive connections end at once; a request in flight
+        still gets its answer, and its connection closes after it.
+        """
         if self._httpd is not None:
+            self._httpd.end_idle_connections()
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
@@ -325,9 +393,42 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
         # leave in one send when the handler flushes after the route
         wbufsize = 1 << 16
         # socket timeout of every connection (set in ``setup``): a client
-        # that stalls in its request line, headers or body frees the
-        # handler thread, which ReproServer.stop() joins
+        # that stalls in its request line or headers, or an idle
+        # kept-alive connection, frees the handler thread, which
+        # ReproServer.stop() joins
         timeout = server.request_timeout_s
+        #: between requests (False) or serving one (True)
+        busy = False
+        #: shut down by ReproServer.stop()
+        ended = False
+        #: the request declared a body that no route has read yet
+        body_pending = False
+
+        # -- connection lifecycle ------------------------------------------
+
+        def setup(self) -> None:
+            super().setup()
+            self.server.opened(self)
+
+        def finish(self) -> None:
+            try:
+                super().finish()
+            finally:
+                self.server.closed(self)
+
+        def parse_request(self) -> bool:
+            if not super().parse_request():
+                return False
+            # the request head has arrived: the connection is busy until
+            # its answer is sent, unless stop() has already ended it (a
+            # head still arriving does not hold stop() up)
+            if not self.server.request_began(self):
+                self.close_connection = True
+                return False
+            self.body_pending = bool(
+                (self.headers.get("Content-Length") or "0").strip() != "0"
+                or self.headers.get("Transfer-Encoding"))
+            return True
 
         # -- plumbing ------------------------------------------------------
 
@@ -337,16 +438,49 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
         def _send_payload(self, status: int, payload: dict) -> None:
             body = json.dumps(payload, sort_keys=True,
                               separators=(",", ":")).encode()
+            # keep the connection for the next request only after a 2xx
+            # whose body was read, and never once stop() has begun
+            if (not 200 <= status < 300 or self.body_pending
+                    or self.server.stopping):
+                self.close_connection = True
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
+            if self.close_connection:
+                self.send_header("Connection", "close")
             if status == 429:
                 # shed responses always tell the client when to come back
                 self.send_header("Retry-After", str(server.retry_after_s))
             self.end_headers()
             self.wfile.write(body)
-            self.close_connection = True
+
+        def _read_body(self, length: int) -> bytes:
+            """Up to ``length`` body bytes (fewer at EOF), all of them
+            within one request timeout.
+
+            A timeout per socket read alone would let a client that sends
+            one byte per interval hold the handler thread, and so
+            ``stop()``, for as long as it keeps sending.  Raises
+            ``TimeoutError`` at the deadline.
+            """
+            self.body_pending = False
+            deadline = time.monotonic() + server.request_timeout_s
+            parts = []
+            remaining = length
+            try:
+                while remaining:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise TimeoutError("request body deadline passed")
+                    self.connection.settimeout(left)
+                    part = self.rfile.read1(remaining)
+                    if not part:
+                        break
+                    parts.append(part)
+                    remaining -= len(part)
+            finally:
+                self.connection.settimeout(server.request_timeout_s)
+            return b"".join(parts)
 
         def _content_length(self) -> int:
             """The declared body length, refused unless a plain count."""
@@ -360,7 +494,7 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
         def _read_request(self, expect: type, optional: bool = False):
             length = self._content_length()
             try:
-                raw = self.rfile.read(length) if length else b""
+                raw = self._read_body(length)
             except TimeoutError:
                 raise ValidationError(
                     f"request body of {length} bytes not received within "
@@ -395,6 +529,11 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
                 obs_metrics.inc(f"server.status.{status}")
                 if payload is not _STREAMED:
                     self._send_payload(status, payload)
+                # the answer leaves before the connection counts as idle:
+                # stop() may end an idle connection at any moment
+                self.wfile.flush()
+                if self.server.request_done(self):
+                    self.close_connection = True
 
         def do_GET(self) -> None:  # noqa: N802 — http.server contract
             self._dispatch("GET")
@@ -569,7 +708,7 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
                             yield line
             else:
                 length = self._content_length()
-                body = self.rfile.read(length)
+                body = self._read_body(length)
                 if len(body) != length:
                     raise ConnectionError("EOF inside the request body")
                 for line in body.splitlines():
@@ -657,8 +796,9 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "sessions")
     parser.add_argument("--request-timeout", type=float, default=600.0,
                         help="seconds a request may wait in a batch "
-                             "queue before a 504, and the socket read "
-                             "timeout of every connection")
+                             "queue before a 504, the deadline of a "
+                             "request body, and how long a connection "
+                             "may idle between requests")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-job attempt timeout in seconds")
     parser.add_argument("--retries", type=int, default=0,

@@ -8,17 +8,29 @@ identity on the contract types.  Error statuses raise
 :class:`~repro.api.errors.ErrorEnvelope`, keeping failure handling
 structured on both sides of the socket.
 
-Each call opens a fresh ``HTTPConnection``: connections are not shared
-between calls, so one client instance may be used concurrently from many
-threads (the smoke test's 64-way fan-out does exactly that).
+Each thread keeps one HTTP/1.1 ``HTTPConnection`` to the server and
+sends all of its requests over it, so a stream session's pushes do not
+open a connection each; threads never share a connection, so one client
+instance may be used concurrently from many threads (the smoke test's
+64-way fan-out does exactly that).  Before a connection is reused, the
+client checks whether the server has closed it (it closes after any
+non-2xx answer, after an idle timeout and when it stops) and reconnects
+if so.  A request is never sent twice: if the exchange fails once the
+request is written, the error is raised, because a push is not
+idempotent.  A thread's connection is closed when the thread or the
+client is gone; :meth:`ReproClient.close` (or leaving a ``with`` block)
+closes all of them at once.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
 import socket
+import threading
 import time
+import weakref
 from typing import Any
 
 from repro.api.codec import decode, encode
@@ -45,6 +57,25 @@ class ServerError(RuntimeError):
         self.envelope = envelope
 
 
+class _Pooled:
+    """One thread's kept-alive connection, closed when this holder is
+    freed: at the thread's exit or with the client."""
+
+    __slots__ = ("connection", "__weakref__")
+
+    def __init__(self, connection: http.client.HTTPConnection) -> None:
+        self.connection = connection
+        weakref.finalize(self, connection.close)
+
+
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """Whether an idle connection's socket is readable: EOF (or bytes
+    nobody asked for), so it cannot carry another request."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class ReproClient:
     """Typed client for one ``repro-serve`` endpoint."""
 
@@ -53,8 +84,41 @@ class ReproClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
+        #: every thread's connection holder, for :meth:`close`
+        self._pooled: "weakref.WeakSet[_Pooled]" = weakref.WeakSet()
+        self._pooled_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the connection of every thread (none may be mid-request).
+
+        The client stays usable: a later call reconnects.
+        """
+        with self._pooled_lock:
+            pooled = list(self._pooled)
+        for holder in pooled:
+            holder.connection.close()
+
+    def __enter__(self) -> "ReproClient":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, ready for a new request."""
+        holder = getattr(self._local, "pooled", None)
+        if holder is None:
+            holder = self._local.pooled = _Pooled(http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout))
+            with self._pooled_lock:
+                self._pooled.add(holder)
+        connection = holder.connection
+        if connection.sock is not None and _closed_by_peer(connection.sock):
+            connection.close()  # the next request reconnects
+        return connection
 
     def request_full(self, method: str, path: str,
                      payload: dict | None = None
@@ -65,19 +129,20 @@ class ReproClient:
         ``Retry-After``, which the loadgen harness (and any well-behaved
         caller) honours before resubmitting shed work.
         """
-        connection = http.client.HTTPConnection(self.host, self.port,
-                                                timeout=self.timeout)
+        body = (json.dumps(payload, sort_keys=True,
+                           separators=(",", ":")).encode()
+                if payload is not None else None)
+        headers = {"Content-Type": "application/json"} if body else {}
+        connection = self._connection()
         try:
-            body = (json.dumps(payload, sort_keys=True,
-                               separators=(",", ":")).encode()
-                    if payload is not None else None)
-            headers = {"Content-Type": "application/json"} if body else {}
             connection.request(method, path, body=body, headers=headers)
             response = connection.getresponse()
             return (response.status, dict(response.getheaders()),
                     response.read())
-        finally:
+        except BaseException:
+            # the exchange's state is unknown: never reuse the connection
             connection.close()
+            raise
 
     def request_raw(self, method: str, path: str,
                     payload: dict | None = None) -> tuple[int, bytes]:

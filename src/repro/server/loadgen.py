@@ -35,8 +35,9 @@ The report carries:
   error rates, totals per request kind;
 - server-side (scraped from ``/v1/metricz`` as before/after deltas):
   batch occupancy (mean/max/p95), the cache hit ratio of the run's
-  job probes (``None`` when it probed nothing), shed and request
-  counters;
+  job probes (``None`` when it probed nothing), shed, request and
+  accepted-connection counters (fewer connections than requests means
+  the client threads' kept-alive connections were reused);
 - an ``slo`` block of thresholds that :func:`check_serve_report` turns
   into regression messages — the ``--check`` exit-code gate CI runs.
 
@@ -370,6 +371,8 @@ def _server_stats(before: dict, after: dict) -> dict:
     stats: dict[str, Any] = {
         "requests": _counter(after, "server.requests")
         - _counter(before, "server.requests"),
+        "connections": _counter(after, "server.connections")
+        - _counter(before, "server.connections"),
         "shed": _counter(after, "server.shed")
         - _counter(before, "server.shed"),
         "batches": 0.0,

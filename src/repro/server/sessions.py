@@ -11,36 +11,56 @@ forecast refreshes every ``forecast_every`` closed segments.
 The :class:`SessionManager` is the server-side registry:
 
 - **admission** (``max_sessions``): opening a session over the cap is
-  shed immediately through the PR 7 ``overloaded`` path — HTTP 429 plus
+  shed immediately through the ``overloaded`` path — HTTP 429 plus
   ``Retry-After``, never a hang;
-- **write-through snapshots**: when a cache is configured, every
-  mutation persists the session's full state (open-window floats,
-  forecaster state, counters) as one columnar
-  :class:`~repro.core.cache.DiskCache` entry, so both LRU eviction and a
-  daemon restart are invisible to the client — the restored encoder
-  closes byte-identical segments (pinned by the round-trip tests);
+- **snapshot + journal**: with a cache directory, ``open`` writes the
+  session's full state (open-window floats, forecaster state, counters)
+  as one columnar :class:`~repro.core.cache.DiskCache` entry, and each
+  push appends one record to the entry's journal: the push's start tick,
+  its ``last_touch`` and its ticks as float64.  A push writes a fresh
+  snapshot instead (and deletes the journal) when its record would take
+  the journal past the last snapshot's size, so a restore never replays
+  more bytes than one snapshot holds — a rule, not a tuning constant.
+  Restore loads the snapshot and replays the journal through
+  :meth:`StreamSession.absorb` and :meth:`StreamSession.maybe_forecast`,
+  the deterministic path the live pushes took, so LRU eviction and a
+  daemon restart (even ``kill -9``) stay invisible to the client: the
+  restored encoder closes byte-identical segments (pinned by the
+  round-trip tests).  Records that start below the snapshot's ``ticks``
+  are skipped (a crash between a snapshot write and the journal's
+  deletion leaves them).  A short final record is a torn append: it is
+  dropped and cut from the file.  A complete record with a bad checksum,
+  or one that does not start where the previous one ended, is
+  corruption: restore raises :class:`~repro.core.cache.CorruptJournal`,
+  the session is discarded and answered as gone — never resumed with
+  acknowledged ticks missing.  A memory-only cache (``DiskCache(None)``)
+  keeps the full snapshot of every push in memory instead;
 - **LRU eviction** (``max_resident``): beyond the residency cap the
   least-recently-touched idle session is dropped from memory only (its
-  snapshot already lives in the cache); sessions with an in-flight
+  snapshot and journal already hold it); sessions with an in-flight
   request are never evicted (a reference count guards them, so one
   session object per id exists at any time);
 - **TTL expiry**: a session idle past its TTL is discarded entirely —
-  memory, snapshot, and admission slot — by the background sweeper or
-  lazily on access.  TTL uses wall-clock time (``time.time``), not the
-  monotonic span clock, so expiry deadlines survive a daemon restart.
+  memory, snapshot, journal and admission slot — by the background
+  sweeper or lazily on access.  TTL uses wall-clock time
+  (``time.time``), not the monotonic span clock, so expiry deadlines
+  survive a daemon restart.
 
 Everything is observable: ``server.stream.resident`` / ``.live`` gauges
 and ``server.stream.opened/closed/ticks/segments/forecasts/evicted/
-restored/expired/discarded`` counters flow into ``/v1/metricz``.
+restored/expired/discarded/corrupt`` counters flow into ``/v1/metricz``.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.api.errors import (NOT_FOUND, ApiError, ErrorEnvelope,
                               overloaded_envelope)
@@ -50,6 +70,7 @@ from repro.api.responses import (StreamOpenResponse, StreamPushResponse,
 from repro.compression.registry import STREAMING_METHODS
 from repro.compression.streaming import (STREAMING_ALGORITHMS,
                                          restore_compressor)
+from repro.core.cache import JOURNAL_FRAME, CorruptJournal
 from repro.forecasting.rolling import STREAM_MODELS, restore_forecaster
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
@@ -64,6 +85,9 @@ _ENCODERS = {name: STREAMING_ALGORITHMS[compressor_info(name).streaming]
 
 #: cache-key namespace of session snapshots
 _CACHE_PREFIX = "stream-session/"
+
+#: the head of a journal record: start tick, last_touch; float64 ticks follow
+_RECORD_HEAD = struct.Struct("<Qd")
 
 
 def _cache_key(session_id: str) -> str:
@@ -99,6 +123,9 @@ class StreamSession:
     inflight: int = 0
     #: serializes mutations; pushes to one session are ordered
     lock: threading.Lock = field(default_factory=threading.Lock)
+    #: bytes of the last snapshot written, and of the journal since it
+    snapshot_bytes: int = 0
+    journal_bytes: int = 0
 
     def absorb(self, values) -> list:
         """Feed ticks; returns the segments that closed, updating the
@@ -178,6 +205,47 @@ class StreamSession:
             forecast_at=None if forecast_at is None else int(forecast_at),
             closed=bool(snapshot["closed"]),
         )
+
+    def journal_record(self, values) -> bytes:
+        """The journal payload of a push of ``values`` just absorbed."""
+        return (_RECORD_HEAD.pack(self.ticks - len(values), self.last_touch)
+                + np.asarray(values, dtype="<f8").tobytes())
+
+    @classmethod
+    def restore(cls, snapshot: dict, records) -> "StreamSession":
+        """Rebuild a session from its snapshot and journal payloads.
+
+        Each record is replayed as its push ran: ``absorb`` then
+        ``maybe_forecast``.  Records starting below the snapshot's
+        ``ticks`` are already in it and skipped; any other record must
+        start at the tick the session has reached, else
+        :class:`CorruptJournal`.
+        """
+        session = cls.from_snapshot(snapshot)
+        covered = session.ticks
+        for record in records:
+            ticks_bytes = len(record) - _RECORD_HEAD.size
+            if ticks_bytes < 0 or ticks_bytes % 8:
+                raise CorruptJournal(
+                    f"journal record of {len(record)} bytes is not a head "
+                    "plus float64 ticks")
+            start, last_touch = _RECORD_HEAD.unpack_from(record)
+            values = np.frombuffer(record, dtype="<f8",
+                                   offset=_RECORD_HEAD.size).tolist()
+            if start < covered:
+                if start + len(values) > covered:
+                    raise CorruptJournal(
+                        f"journal record at tick {start} overlaps the "
+                        f"snapshot's {covered} ticks")
+                continue
+            if start != session.ticks:
+                raise CorruptJournal(
+                    f"journal record starts at tick {start}, expected "
+                    f"{session.ticks}")
+            session.absorb(values)
+            session.maybe_forecast()
+            session.last_touch = last_touch
+        return session
 
     def open_response(self) -> StreamOpenResponse:
         return StreamOpenResponse(
@@ -267,7 +335,7 @@ class SessionManager:
             with session.lock:
                 closed = session.absorb(values)
                 refreshed = session.maybe_forecast()
-                self._persist(session)
+                self._persist(session, values)
                 response = session.push_response(len(values), closed,
                                                  refreshed)
         finally:
@@ -404,21 +472,38 @@ class SessionManager:
 
     def _restore_locked(self, session_id: str, now: float,
                         resident: bool) -> StreamSession:
-        """Rebuild an evicted (or pre-restart) session from its snapshot."""
+        """Rebuild an evicted (or pre-restart) session from its snapshot
+        and journal."""
+        key = _cache_key(session_id)
         snapshot = None
         if self.cache is not None:
-            snapshot = self.cache.get(_cache_key(session_id))
+            snapshot = self.cache.get(key)
         if not isinstance(snapshot, dict):
+            if self.cache is not None:
+                # a journal without its snapshot can never be replayed
+                self.cache.remove_journal(key)
             raise _not_found(session_id,
                              f"unknown stream session {session_id!r}")
-        session = StreamSession.from_snapshot(snapshot)
+        try:
+            records, journal_bytes = self.cache.journal(key)
+            session = StreamSession.restore(snapshot, records)
+        except CorruptJournal as error:
+            # never resume with acknowledged ticks missing
+            self._index.pop(session_id, None)
+            self.cache.remove(key)
+            obs_metrics.inc("server.stream.corrupt")
+            raise _not_found(session_id, f"stream session {session_id} "
+                             f"is lost: {error}") from None
         if session.closed or now - session.last_touch > session.ttl_s:
             # a stale snapshot must not resurrect a finished session
             self._index.pop(session_id, None)
-            self.cache.remove(_cache_key(session_id))
+            self.cache.remove(key)
             obs_metrics.inc("server.stream.expired")
             raise _not_found(
                 session_id, f"stream session {session_id} expired")
+        # the restored-from snapshot's size is not known here: the first
+        # push writes a fresh one that folds the replayed journal in
+        session.journal_bytes = journal_bytes
         if resident:
             self._sessions[session_id] = session
         # a post-restart restore re-enters the admission ledger
@@ -427,18 +512,30 @@ class SessionManager:
         obs_metrics.inc("server.stream.restored")
         return session
 
-    def _persist(self, session: StreamSession) -> None:
-        """Write-through snapshot (under the session's lock).
+    def _persist(self, session: StreamSession, pushed=None) -> None:
+        """Write-through state (under the session's lock): a journal
+        record for the ticks just ``pushed``, or a full snapshot when
+        that record would take the journal past the last snapshot.
 
         Skipped once the session has left the admission ledger: a push
         racing a discard (client vanished between chunks) must not
-        resurrect the session by re-writing its snapshot.
+        resurrect the session by re-writing its state.
         """
-        if (self.cache is not None and not session.closed
-                and session.session_id in self._index):
-            session.last_touch = self._clock()
-            self.cache.put(_cache_key(session.session_id),
-                           session.snapshot())
+        if (self.cache is None or session.closed
+                or session.session_id not in self._index):
+            return
+        session.last_touch = self._clock()
+        key = _cache_key(session.session_id)
+        if pushed is not None and self.cache.directory is not None:
+            record = session.journal_record(pushed)
+            if (session.journal_bytes + JOURNAL_FRAME.size + len(record)
+                    <= session.snapshot_bytes):
+                session.journal_bytes += self.cache.append(key, record)
+                return
+        session.snapshot_bytes = self.cache.put(key, session.snapshot())
+        if session.journal_bytes:
+            self.cache.remove_journal(key)
+            session.journal_bytes = 0
 
     def _expire_locked(self, now: float) -> int:
         """Discard every session idle past its TTL (manager lock held)."""

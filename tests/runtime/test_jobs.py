@@ -1,17 +1,39 @@
 """Job-key stability and dependency declarations."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.api import requests as requests_module
 from repro.core.results import RAW as CORE_RAW
-from repro.runtime.jobs import (RAW, CompressJob, FeatureJob, ForecastJob,
+from repro.runtime import jobs as jobs_module
+from repro.runtime.jobs import (CompressJob, FeatureJob, ForecastJob,
                                 RuntimeContext, TrainJob, evaluate_windows,
                                 freeze_kwargs)
 
 
-def test_raw_label_matches_core_results():
-    # jobs.py duplicates the literal to stay import-independent of repro.core
-    assert RAW == CORE_RAW
+@pytest.mark.parametrize("module", [jobs_module, requests_module],
+                         ids=["runtime.jobs", "api.requests"])
+def test_raw_label_is_the_core_results_one(module):
+    """The job graph and the request types import ``RAW`` from
+    ``repro.core.results``; neither defines a copy that could drift (an
+    equal string literal would pass ``is`` too, since CPython interns
+    it, so the module's top-level statements are read)."""
+    assert module.RAW is CORE_RAW
+    tree = ast.parse(inspect.getsource(module))
+    imported = [node for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "repro.core.results"
+                and any(alias.name == "RAW" and alias.asname is None
+                        for alias in node.names)]
+    assigned = [target for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                if isinstance(target, ast.Name) and target.id == "RAW"]
+    assert imported and not assigned
 
 
 def train_job(**overrides):

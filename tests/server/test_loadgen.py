@@ -317,6 +317,8 @@ def test_loadgen_drives_stream_sessions_end_to_end():
     assert report["server"]["stream_opened"] >= totals["ok"]
     assert report["server"]["stream_segments"] > 0
     assert report["server"]["stream_live"] == 0
+    # each client thread's pushes reuse its kept-alive connection
+    assert 0 < report["server"]["connections"] < report["server"]["requests"]
     assert check_serve_report(report) == []
 
 

@@ -14,6 +14,9 @@
 - A body that stops arriving is answered with a ``validation`` envelope
   once the request timeout passes, so a stalled client holds neither a
   handler thread nor :meth:`ReproServer.stop` for longer than that.
+- The timeout bounds the whole body, not each read: a client that drips
+  one byte at a time gets the same answer, on a fresh connection and on
+  a kept-alive one.
 """
 
 import contextlib
@@ -261,3 +264,46 @@ def test_a_stalled_body_is_a_400_and_does_not_hold_up_stop():
     assert status == 400
     assert payload["kind"] == "validation"
     assert payload["key"] == "body"
+
+
+@pytest.mark.parametrize("earlier", [0, 1], ids=["first", "second"])
+def test_a_dripped_body_is_a_400_within_one_timeout(earlier):
+    server = ReproServer(_config(), port=0, request_timeout_s=1.0).start()
+    stop_dripping = threading.Event()
+    sock = socket.create_connection(("127.0.0.1", server.port),
+                                    timeout=10.0)
+
+    def drip() -> None:
+        with contextlib.suppress(OSError):
+            while not stop_dripping.wait(0.2):
+                sock.sendall(b" ")
+
+    dripper = threading.Thread(target=drip)
+    try:
+        for _ in range(earlier):  # a kept-alive connection's next request
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            head = b""
+            while b"}" not in head:
+                head += sock.recv(65536)
+            assert head.startswith(b"HTTP/1.1 200")
+        sock.sendall(_post_head("100"))
+        started = time.monotonic()
+        dripper.start()
+        status, payload = _read_response(sock)
+        elapsed = time.monotonic() - started
+        stop_dripping.set()
+        stopping = time.monotonic()
+        server.stop()
+        stop_s = time.monotonic() - stopping
+    finally:
+        stop_dripping.set()
+        if dripper.ident is not None:
+            dripper.join()
+        sock.close()
+        if server._httpd is not None:
+            server.stop()
+    assert status == 400
+    assert payload["kind"] == "validation"
+    assert payload["key"] == "body"
+    assert elapsed < 1.6, f"answered after {elapsed:.2f}s"
+    assert stop_s < 2.0
