@@ -49,7 +49,8 @@ _STEP = struct.Struct("<f")
 
 DEFAULT_BLOCK_SIZE = 128
 
-#: NLMS filter order and normalized step size
+#: NLMS filter order and normalized step size (``update_weights`` unrolls
+#: the four taps)
 ORDER = 4
 MU = 0.5
 INIT_WEIGHTS = (1.0, 0.0, 0.0, 0.0)
@@ -144,28 +145,31 @@ def update_weights(weights, t_values, escaped) -> tuple[float, ...]:
     sequential float64, so encoder and decoder weights stay bitwise
     equal; a non-finite result (degenerate inputs) resets to the
     initial filter.
+
+    The ``ORDER`` taps and history slots are unrolled into locals, but
+    every sum keeps the list loop's order (``0.0 + w0*h0 + w1*h1 + ...``
+    left to right, ``1.0 + h0*h0 + ...``), so the weights carry the same
+    bits as the loop over lists, the twin
+    ``repro.reference.lfzip_update_weights`` that they are pinned to.
     """
-    w = list(weights)
-    history = [0.0] * ORDER
-    for t, escape in zip(t_values, escaped):
+    w0, w1, w2, w3 = weights
+    h0 = h1 = h2 = h3 = 0.0
+    for t, escape in zip(np.asarray(t_values, dtype=np.float64).tolist(),
+                         np.asarray(escaped, dtype=bool).tolist()):
         if escape:
-            history = [0.0] * ORDER
+            h0 = h1 = h2 = h3 = 0.0
             continue
-        t = float(t)
-        prediction = 0.0
-        for j in range(ORDER):
-            prediction += w[j] * history[j]
-        error = t - prediction
-        denom = 1.0
-        for j in range(ORDER):
-            denom += history[j] * history[j]
-        gain = MU * error / denom
-        for j in range(ORDER):
-            w[j] += gain * history[j]
-        history = [t] + history[:-1]
+        error = t - (0.0 + w0 * h0 + w1 * h1 + w2 * h2 + w3 * h3)
+        gain = MU * error / (1.0 + h0 * h0 + h1 * h1 + h2 * h2 + h3 * h3)
+        w0 += gain * h0
+        w1 += gain * h1
+        w2 += gain * h2
+        w3 += gain * h3
+        h0, h1, h2, h3 = t, h0, h1, h2
+    w = (w0, w1, w2, w3)
     if not all(math.isfinite(x) for x in w):
         return INIT_WEIGHTS
-    return tuple(w)
+    return w
 
 
 def decode_block(step: float, carry: float, weights, symbols: np.ndarray,
@@ -174,7 +178,9 @@ def decode_block(step: float, carry: float, weights, symbols: np.ndarray,
     """Rebuild one block's reconstruction from its code stream.
 
     Returns ``(recon, t_values, escaped)`` so the caller can replay the
-    weight sweep.  The prediction recursion is sequential here — the
+    weight sweep.  Codes that drive a prediction to inf or NaN (no
+    encoder writes them) raise the codec's corrupt-payload
+    ``ValueError``.  The prediction recursion is sequential here — the
     decoder needs ``t_(i-1)`` before ``t_i`` — but performs the exact
     float64 operations of the encoder, so ``base + t * step`` lands on
     the same bits.
@@ -199,6 +205,10 @@ def decode_block(step: float, carry: float, weights, symbols: np.ndarray,
         prediction = 0.0
         for j in range(ORDER):
             prediction += weights[j] * history[j]
+        if not math.isfinite(prediction):
+            # only codes no encoder writes drive the lattice this far
+            raise ValueError(f"corrupt LFZip payload: non-finite "
+                             f"prediction at value {i} of a block")
         t = float(codes[i]) + round(prediction)
         recon[i] = base + t * step
         t_values[i] = t

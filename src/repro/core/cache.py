@@ -235,20 +235,29 @@ def _load_columnar(path: str) -> tuple[Any, int]:
 #
 # A key's journal is a file of framed records beside its entry:
 #
-#   payload length, uint32 LE (4) | CRC32 of the payload, uint32 LE (4)
+#   payload length, uint32 LE (4) | CRC32 of the payload, uint32 LE (4) |
+#   CRC32 of the 8 bytes before it, uint32 LE (4)
 #   payload bytes
 #
 # Records are only ever appended.  A crash mid-append leaves a short final
-# record, which a reader drops (and cuts from the file).  A whole record
-# whose checksum fails is not a torn append but damage, and is refused.
+# record, which a reader drops (and cuts from the file).  The head's own
+# checksum tells that apart from damage: a flipped length that points past
+# the end of the file fails it, so a damaged middle record is refused
+# instead of being read as a torn tail that would cut every whole record
+# after it.  A whole record whose payload checksum fails is damage too.
+# A journal written with the earlier 8-byte frame fails the head check and
+# is refused the same way, so its session is discarded, not misread.
 
-#: the frame before each journal record's payload: length, CRC32
-JOURNAL_FRAME = struct.Struct("<II")
+#: the frame before each journal record's payload: length, payload CRC32,
+#: CRC32 of those two fields
+JOURNAL_FRAME = struct.Struct("<III")
+_JOURNAL_HEAD = struct.Struct("<II")
 
 
 class CorruptJournal(ValueError):
-    """A journal that cannot be replayed as written: a complete record
-    whose checksum fails, or records that do not continue each other."""
+    """A journal that cannot be replayed as written: a record head or
+    payload whose checksum fails, or records that do not continue each
+    other."""
 
 
 class DiskCache:
@@ -355,7 +364,8 @@ class DiskCache:
     def append(self, key: str, payload: bytes) -> int:
         """Append one framed record to ``key``'s journal; returns the
         bytes written (frame included).  Needs a cache directory."""
-        frame = JOURNAL_FRAME.pack(len(payload), zlib.crc32(payload))
+        head = _JOURNAL_HEAD.pack(len(payload), zlib.crc32(payload))
+        frame = head + struct.pack("<I", zlib.crc32(head))
         with open(self._path(key, ".journal"), "ab") as handle:
             handle.write(frame + payload)
         return JOURNAL_FRAME.size + len(payload)
@@ -364,10 +374,12 @@ class DiskCache:
         """The payloads of ``key``'s journal, oldest first, and the bytes
         they take on disk; ``([], 0)`` when there is none.
 
-        A short final record (a torn append) is dropped, and the file is
-        cut back to the last whole record so the next append continues a
-        well-formed journal.  A whole record whose checksum fails raises
-        :class:`CorruptJournal`.
+        A short final record (a torn append: an incomplete head, or a
+        sound head whose payload runs past the end) is dropped, and the
+        file is cut back to the last whole record so the next append
+        continues a well-formed journal.  A head or a whole record whose
+        checksum fails raises :class:`CorruptJournal` and leaves the file
+        as it is.
         """
         if self.directory is None:
             return [], 0
@@ -380,7 +392,13 @@ class DiskCache:
         payloads = []
         offset = 0
         while offset + JOURNAL_FRAME.size <= len(data):
-            length, checksum = JOURNAL_FRAME.unpack_from(data, offset)
+            length, checksum, head_checksum = JOURNAL_FRAME.unpack_from(
+                data, offset)
+            if zlib.crc32(data[offset:offset + _JOURNAL_HEAD.size]) != \
+                    head_checksum:
+                raise CorruptJournal(
+                    f"journal record head at byte {offset} of {path} fails "
+                    "its checksum")
             start = offset + JOURNAL_FRAME.size
             if start + length > len(data):
                 break

@@ -14,8 +14,7 @@ from repro.forecasting.registry import (DEEP_MODELS, MODEL_CLASSES,
 from repro.forecasting.scaling import StandardScaler
 from repro.forecasting.transformer import TransformerForecaster
 from repro.forecasting.trees import RegressionTree
-from repro.forecasting.windows import (make_windows, paired_windows,
-                                       subsample_windows)
+from repro.forecasting.windows import make_windows, paired_windows
 
 __all__ = [
     "DEFAULT_HORIZON",
@@ -38,5 +37,4 @@ __all__ = [
     "RegressionTree",
     "make_windows",
     "paired_windows",
-    "subsample_windows",
 ]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.forecasting.base import Forecaster
+from repro.memo import ContentMemo
 from repro.registry import register_model
 
 _DEFAULT_ORDERS = tuple(
@@ -60,6 +61,22 @@ def _fourier_design(positions: np.ndarray, period: int, terms: int
         columns.append(np.sin(angle))
         columns.append(np.cos(angle))
     return np.column_stack(columns)
+
+
+def _read_only_design(ticks: np.ndarray, period: int, terms: int
+                      ) -> np.ndarray:
+    design = _fourier_design(ticks, period, terms)
+    design.flags.writeable = False
+    return design
+
+
+#: Fourier designs of recent prediction ticks.  Every grid cell of one
+#: dataset forecasts the same test windows, so ``predict`` asks for the
+#: same design again and again.  Module state, not model state, so it is
+#: never pickled with a model; the arrays are read-only, so a hit returns
+#: the computed bytes.  A cell asks for two designs (in-window and future
+#: ticks) per (dataset, stride); four keeps two such sets warm.
+_DESIGNS = ContentMemo(size=4)
 
 
 def _stage1_innovations(w: np.ndarray, long_lag: int) -> np.ndarray:
@@ -249,7 +266,10 @@ class ArimaForecaster(Forecaster):
         def deterministic(ticks: np.ndarray) -> np.ndarray:
             out = np.full(ticks.shape, model.constant)
             if self.fourier_terms:
-                flat = _fourier_design(ticks.ravel(), period, self.fourier_terms)
+                terms = self.fourier_terms
+                flat = _DESIGNS.get(
+                    ticks.ravel(), (period, terms),
+                    lambda t: _read_only_design(t, period, terms))
                 out = out + (flat @ model.fourier).reshape(ticks.shape)
             return out
 

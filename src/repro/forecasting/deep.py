@@ -3,7 +3,12 @@
 All five deep models (DLinear, GRU, NBeats, Transformer, Informer) follow
 the same recipe from Section 3.4: standard-scale using training statistics,
 build sliding windows, train with Adam + early stopping (patience 3), and
-predict in batches.  Subclasses only provide the network itself.
+predict in batches.  Subclasses only provide the network itself, and may
+override :meth:`DeepForecaster.train_step` with a closed-form gradient.
+
+Only the windows a fit trains and validates on are built: their start
+indices are drawn first, with the generator calls that subsampling every
+built window made (:func:`~repro.forecasting.windows.drawn_windows`).
 
 Training and prediction run on the fused kernels of
 :mod:`repro.forecasting.nn.kernels`, the engine's default on every thread.
@@ -19,9 +24,10 @@ import numpy as np
 from repro.forecasting.base import Forecaster
 from repro.forecasting.nn.layers import Module
 from repro.forecasting.nn.tensor import Tensor
-from repro.forecasting.nn.train import fit_model, predict_in_batches
+from repro.forecasting.nn.train import (fit_model, graph_step,
+                                        predict_in_batches)
 from repro.forecasting.scaling import StandardScaler
-from repro.forecasting.windows import make_windows, subsample_windows
+from repro.forecasting.windows import drawn_windows, window_count
 
 
 class DeepForecaster(Forecaster):
@@ -65,27 +71,49 @@ class DeepForecaster(Forecaster):
         return x
 
     def fit(self, train: np.ndarray, validation: np.ndarray) -> None:
+        """Scale, draw the kept windows, then train on them.
+
+        The kept windows' start indices are drawn before any window is
+        built (:func:`~repro.forecasting.windows.drawn_windows`): first at
+        most ``max_train_windows`` training starts, then at most
+        ``max_validation_windows`` validation starts, with the same
+        ``rng`` calls in the same order as building every window and
+        subsampling it, so the rows, the network's initial weights and
+        the batch order are unchanged.
+        """
         rng = np.random.default_rng(self.seed)
         self._scaler.fit(train)
-        x, y = make_windows(self._scaler.transform(train),
-                            self.input_length, self.horizon)
+        scaled = self._scaler.transform(train)
+        x, y = drawn_windows(scaled, self.input_length, self.horizon,
+                             self.max_train_windows, rng)
         if len(validation) >= self.input_length + self.horizon:
-            x_val, y_val = make_windows(self._scaler.transform(validation),
-                                        self.input_length, self.horizon)
-        else:  # degenerate split: validate on a slice of training windows
-            x_val, y_val = x[-max(len(x) // 10, 1):], y[-max(len(y) // 10, 1):]
+            x_val, y_val = drawn_windows(
+                self._scaler.transform(validation), self.input_length,
+                self.horizon, self.max_validation_windows, rng)
+        else:  # degenerate split: validate on the last tenth of training
+            count = window_count(len(scaled), self.input_length,
+                                 self.horizon)
+            tail = np.arange(count - max(count // 10, 1), count)
+            x_val, y_val = drawn_windows(
+                scaled, self.input_length, self.horizon,
+                self.max_validation_windows, rng, starts=tail)
         self._train_on_windows(x, y, x_val, y_val, rng)
 
+    def train_step(self, batch_x: np.ndarray, batch_y: np.ndarray) -> None:
+        """Set every parameter's gradient of the MSE on one batch: the
+        graph's forward, loss and ``backward`` unless a model overrides
+        it with a closed form."""
+        graph_step(self.forward, batch_x, batch_y)
+
     def _train_on_windows(self, x, y, x_val, y_val, rng) -> None:
-        x, y = subsample_windows(x, y, self.max_train_windows, rng)
-        x_val, y_val = subsample_windows(x_val, y_val,
-                                         self.max_validation_windows, rng)
+        """Build the network and train it on the drawn windows."""
         self._network = self.build_network(rng)
         self.validation_history = fit_model(
             self._network, self.forward, self.prepare_windows(x), y,
             self.prepare_windows(x_val), y_val, rng,
             epochs=self.epochs, batch_size=self.batch_size,
-            patience=self.patience, learning_rate=self.learning_rate)
+            patience=self.patience, learning_rate=self.learning_rate,
+            step=self.train_step)
         self._fitted = True
 
     def predict(self, windows: np.ndarray,

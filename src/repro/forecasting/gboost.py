@@ -16,7 +16,7 @@ import numpy as np
 from repro.forecasting.base import Forecaster
 from repro.forecasting.scaling import StandardScaler
 from repro.forecasting.trees import RegressionTree
-from repro.forecasting.windows import make_windows, subsample_windows
+from repro.forecasting.windows import drawn_windows
 from repro.registry import register_model
 
 
@@ -120,14 +120,14 @@ class GBoostForecaster(Forecaster):
     def fit(self, train: np.ndarray, validation: np.ndarray) -> None:
         self._scaler.fit(train)
         rng = np.random.default_rng(self.seed)
-        x, y = make_windows(self._scaler.transform(train),
-                            self.input_length, self.horizon)
-        x, y = subsample_windows(x, y, self.max_train_windows, rng)
+        x, y = drawn_windows(self._scaler.transform(train),
+                             self.input_length, self.horizon,
+                             self.max_train_windows, rng)
         x_val = y_val = None
         if len(validation) >= self.input_length + self.horizon:
-            x_val, y_val = make_windows(self._scaler.transform(validation),
-                                        self.input_length, self.horizon)
-            x_val, y_val = subsample_windows(x_val, y_val, 500, rng)
+            x_val, y_val = drawn_windows(self._scaler.transform(validation),
+                                         self.input_length, self.horizon,
+                                         500, rng)
         self._model = GradientBoostingRegressor(
             n_estimators=self.n_estimators, max_depth=self.max_depth,
             seed=self.seed).fit(x, y, x_val, y_val)

@@ -3,10 +3,20 @@
 Every deep model trains the same way: Adam (lr 0.001, weight decay 0.0001),
 mini-batches, and early stopping on the validation loss with patience 3,
 restoring the best parameters.
+
+One loop serves every model.  Per batch it clears the gradients, calls
+the model's step hook to set them, and steps Adam.  The default hook,
+:func:`graph_step`, runs forward, MSE loss and ``backward`` through the
+autograd graph; a model whose gradients have a closed form passes a hook
+that sets them without building a graph (DLinear's
+:func:`~repro.forecasting.nn.kernels.dlinear_mse_gradients`).  Either
+way the gradients land on the parameters before Adam reads them, so
+gradient-norm metering sees them too.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from contextlib import nullcontext
 
@@ -28,6 +38,17 @@ def gradient_norm(parameters: list[Tensor]) -> float:
     return float(np.sqrt(total))
 
 
+def graph_step(forward: Callable[[np.ndarray], Tensor],
+               batch_x: np.ndarray, batch_y: np.ndarray) -> None:
+    """Set the MSE gradients of one batch through the autograd graph."""
+    prediction = forward(batch_x)
+    if kernels.enabled():
+        loss = kernels.fused_mse_loss(prediction, batch_y)
+    else:
+        loss = mse_loss(prediction, batch_y)
+    loss.backward()
+
+
 def fit_model(model: Module,
               forward: Callable[[np.ndarray], Tensor],
               train_x: np.ndarray, train_y: np.ndarray,
@@ -36,12 +57,18 @@ def fit_model(model: Module,
               epochs: int = 20,
               batch_size: int = 64,
               patience: int = 3,
-              learning_rate: float = 1e-3) -> list[float]:
+              learning_rate: float = 1e-3,
+              step: Callable[[np.ndarray, np.ndarray], None] | None = None
+              ) -> list[float]:
     """Train ``model`` with ``forward(batch_x) -> prediction`` on MSE.
 
-    Returns the per-epoch validation losses; the model ends up with the
-    parameters of its best validation epoch.
+    ``step(batch_x, batch_y)`` sets the parameters' gradients for one
+    batch (default: :func:`graph_step` over ``forward``).  Returns the
+    per-epoch validation losses; the model ends up with the parameters of
+    its best validation epoch.
     """
+    if step is None:
+        step = functools.partial(graph_step, forward)
     if len(train_x) == 0:
         raise ValueError("training requires at least one window")
     parameters = model.parameters()
@@ -58,16 +85,10 @@ def fit_model(model: Module,
         order = rng.permutation(len(train_x))
         grad_norm = 0.0
         batches = 0
-        fused = kernels.enabled()
         for begin in range(0, len(order), batch_size):
             batch = order[begin:begin + batch_size]
             optimizer.zero_grad()
-            prediction = forward(train_x[batch])
-            if fused:
-                loss = kernels.fused_mse_loss(prediction, train_y[batch])
-            else:
-                loss = mse_loss(prediction, train_y[batch])
-            loss.backward()
+            step(train_x[batch], train_y[batch])
             if metered:
                 grad_norm += gradient_norm(parameters)
                 batches += 1

@@ -10,21 +10,26 @@ reference class subclasses its production class and overrides only the
 hook that differs — segmentation for PMC, Swing and CAMEO; block
 statistics, block encoding, block cost and Huffman packing for SZ and
 LFZip; the order sweep and the in-window innovation filter for ARIMA —
-so it returns the same result type through the slow path.  The deep
-models' reference twins train and predict on the unfused autograd graph
-(``repro.forecasting.nn.kernels.use(False)``), the generic engine the
-fused kernels replay node for node.  The feature catalogue's hot
-characteristics have function twins with the production signatures:
-``hurst`` (one rescaled-range chunk at a time), ``holt_parameters`` (one
-``holt_sse`` pass per grid cell) and ``flat_spots`` (one label at a
-time).  The API schema's one-pass array check has the per-element walk
-``validate`` as its twin.  The equivalence suites
-(``tests/compression/test_kernels.py``, ``test_cameo.py``,
-``test_lfzip.py``, ``tests/encoding/test_huffman.py``,
-``tests/forecasting/test_kernels.py``, ``tests/features/test_kernels.py``,
-``tests/api/test_schema.py``) assert byte or bit identity (the same
-verdict and error, for the schema), and ``repro-eval bench`` and
-``benchmarks/perf`` time each kernel against its reference.
+so it returns the same result type through the slow path.  LFZip's
+NLMS weight sweep has the list loop ``lfzip_update_weights`` as its twin.
+The deep models' reference twins train and predict on the unfused
+autograd graph (``repro.forecasting.nn.kernels.use(False)``), the generic
+engine the fused kernels and DLinear's graph-free step replay node for
+node.  The window builders have the per-window stacking loops
+``make_windows`` and ``paired_windows``, and drawing windows before
+building them has ``subsample_windows`` over the built set.  The feature
+catalogue's hot characteristics have function twins with the production
+signatures: ``hurst`` (one rescaled-range chunk at a time),
+``holt_parameters`` (one ``holt_sse`` pass per grid cell) and
+``flat_spots`` (one label at a time).  The API schema's one-pass array
+check has the per-element walk ``validate`` as its twin.  The
+equivalence suites (``tests/compression/test_kernels.py``,
+``test_cameo.py``, ``test_lfzip.py``, ``tests/encoding/test_huffman.py``,
+``tests/forecasting/test_kernels.py``, ``test_windows.py``,
+``tests/features/test_kernels.py``, ``tests/api/test_schema.py``) assert
+byte or bit identity (the same verdict and error, for the schema), and
+``repro-eval bench`` and ``benchmarks/perf`` time each kernel against
+its reference.
 
 The classes are not registered, so registry queries, CLI choices and
 schema enums only ever see the production codecs and models, and
@@ -348,6 +353,31 @@ def lfzip_encode_block(block: np.ndarray, tolerance: np.ndarray,
     return symbols, outliers, recon, t_values, escaped
 
 
+def lfzip_update_weights(weights, t_values, escaped) -> tuple[float, ...]:
+    """:func:`repro.compression.lfzip.update_weights` over Python lists."""
+    w = list(weights)
+    history = [0.0] * lfzip.ORDER
+    for t, escape in zip(t_values, escaped):
+        if escape:
+            history = [0.0] * lfzip.ORDER
+            continue
+        t = float(t)
+        prediction = 0.0
+        for j in range(lfzip.ORDER):
+            prediction += w[j] * history[j]
+        error = t - prediction
+        denom = 1.0
+        for j in range(lfzip.ORDER):
+            denom += history[j] * history[j]
+        gain = lfzip.MU * error / denom
+        for j in range(lfzip.ORDER):
+            w[j] += gain * history[j]
+        history = [t] + history[:-1]
+    if not all(math.isfinite(x) for x in w):
+        return lfzip.INIT_WEIGHTS
+    return tuple(w)
+
+
 class ReferenceLFZip(LFZip):
     """LFZip with the per-point block encoder."""
 
@@ -582,15 +612,69 @@ def validate(value: Any, schema: dict, path: str = "$") -> None:
             validate(item, schema["items"], f"{path}[{index}]")
 
 
+# --- windows: one slice per window, every window built
+
+
+def make_windows(values: np.ndarray, input_length: int, horizon: int,
+                 stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`repro.forecasting.windows.make_windows`, one slice per row."""
+    values = np.asarray(values, dtype=np.float64)
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    total = input_length + horizon
+    if len(values) < total:
+        raise ValueError(
+            f"series of length {len(values)} is too short for windows of "
+            f"{input_length}+{horizon}"
+        )
+    starts = np.arange(0, len(values) - total + 1, stride)
+    inputs = np.stack([values[s:s + input_length] for s in starts])
+    targets = np.stack([values[s + input_length:s + total] for s in starts])
+    return inputs, targets
+
+
+def paired_windows(input_values: np.ndarray, target_values: np.ndarray,
+                   input_length: int, horizon: int, stride: int = 1
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`repro.forecasting.windows.paired_windows`, both halves of
+    both series built."""
+    input_values = np.asarray(input_values, dtype=np.float64)
+    target_values = np.asarray(target_values, dtype=np.float64)
+    if input_values.shape != target_values.shape:
+        raise ValueError(
+            f"aligned series must share a shape, got {input_values.shape} "
+            f"vs {target_values.shape}"
+        )
+    inputs, _ = make_windows(input_values, input_length, horizon, stride)
+    _, targets = make_windows(target_values, input_length, horizon, stride)
+    return inputs, targets
+
+
+def subsample_windows(inputs: np.ndarray, targets: np.ndarray, limit: int,
+                      rng: np.random.Generator
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Randomly keep at most ``limit`` built windows: the build-all-then-
+    subsample twin of :func:`repro.forecasting.windows.drawn_windows`."""
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
+    if len(inputs) <= limit:
+        return inputs, targets
+    keep = rng.choice(len(inputs), size=limit, replace=False)
+    keep.sort()
+    return inputs[keep], targets[keep]
+
+
 # --- deep models: the unfused autograd graph
 
 
 class UnfusedEngine:
     """Mixin: train and predict a deep forecaster on the unfused graph.
 
-    ``fit`` trains through ``_train_on_windows``.  Windows are not
-    prepared ahead of batching; each model's ``forward`` sees the plain
-    scaled windows.
+    ``fit`` draws its windows as the production model does and trains
+    through ``_train_on_windows``; every training step goes through the
+    graph (:func:`repro.forecasting.nn.train.graph_step`).  Windows are
+    not prepared ahead of batching; each model's ``forward`` sees the
+    plain scaled windows.
     """
 
     def prepare_windows(self, x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ from repro.compression.streaming import (OnlineLFZip, reconstruct,
                                          segment_from_wire, segment_to_wire,
                                          segments_payload)
 from repro.datasets import TimeSeries
-from repro.reference import ReferenceLFZip, lfzip_encode_block
+from repro.reference import (ReferenceLFZip, lfzip_encode_block,
+                             lfzip_update_weights)
 
 
 def series_of(values, interval=60):
@@ -131,6 +132,73 @@ def test_update_weights_stays_finite_on_wild_data():
     weights = update_weights(INIT_WEIGHTS, t_values,
                              np.zeros(t_values.size, dtype=bool))
     assert all(np.isfinite(w) for w in weights)
+
+
+def _weight_bits(weights):
+    return np.asarray(weights, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5000, 5000), st.integers(0, 19)),
+                min_size=1, max_size=160),
+       st.sampled_from([INIT_WEIGHTS, (0.5, -0.25, 0.125, 0.0),
+                        (-0.0, 0.0, 1e-300, 3.0)]),
+       st.sampled_from([None, 0.0, -0.0, 1e160, 1e300]))
+def test_property_unrolled_sweep_matches_the_list_loop(steps, weights,
+                                                       spike):
+    """Lattice coordinates walk like a block's (one in twenty points an
+    escape); a spike in the middle may overflow the sweep into the
+    non-finite reset.  The weights match bit for bit."""
+    t_values = np.cumsum([step for step, _ in steps]).astype(np.float64)
+    escaped = np.array([lane == 0 for _, lane in steps])
+    if spike is not None:
+        t_values[len(t_values) // 2] = spike
+    assert _weight_bits(update_weights(weights, t_values, escaped)) == \
+        _weight_bits(lfzip_update_weights(weights, t_values, escaped))
+
+
+def test_unrolled_sweep_matches_the_list_loop_on_random_walks():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        t_values = np.round(rng.normal(size=128).cumsum() * 50)
+        escaped = rng.random(128) < 0.05
+        assert _weight_bits(update_weights(INIT_WEIGHTS, t_values,
+                                           escaped)) == \
+            _weight_bits(lfzip_update_weights(INIT_WEIGHTS, t_values,
+                                              escaped))
+
+
+def test_unrolled_sweep_resets_a_non_finite_filter():
+    t_values = np.array([1.0, 1e300, 1e300, 1e300])
+    escaped = np.zeros(4, dtype=bool)
+    assert lfzip_update_weights(INIT_WEIGHTS, t_values, escaped) == \
+        INIT_WEIGHTS
+    assert update_weights(INIT_WEIGHTS, t_values, escaped) == INIT_WEIGHTS
+
+
+def test_huge_codes_are_a_corrupt_payload_not_an_overflow():
+    """Codes no encoder writes first blow the replayed weights up, then
+    drive the next block's prediction to inf; ``round(inf)`` used to
+    raise a bare ``OverflowError``."""
+    from repro.compression.base import gzip_bytes
+
+    n = 256
+    codes = np.ones(n, dtype=np.int64)
+    codes[:3] = [1, 1 << 40, 3 << 40]
+    symbols = ((codes << 1) ^ (codes >> 63)) + 1
+    codec = LFZip()
+    payload = codec._serialize(series_of(np.zeros(n)), n, [1.0, 1.0],
+                               symbols, [])
+    with pytest.raises(ValueError, match="corrupt LFZip payload"):
+        codec.decompress(gzip_bytes(payload))
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+def test_decode_block_refuses_a_non_finite_prediction(weight):
+    symbols = np.array([3, 3], dtype=np.int64)  # codes +1, +1
+    with pytest.raises(ValueError, match="non-finite prediction"):
+        decode_block(1.0, 0.0, (weight, 0.0, 0.0, 0.0), symbols,
+                     np.empty(0))
 
 
 # -- streaming ----------------------------------------------------------------

@@ -92,3 +92,47 @@ def test_predictions_do_not_explode():
     prediction = model.predict(x)
     assert np.all(np.isfinite(prediction))
     assert np.abs(prediction - values.mean()).max() < 50 * values.std()
+
+
+def _seasonal_model_and_windows():
+    rng = np.random.default_rng(3)
+    t = np.arange(2000)
+    values = np.sin(2 * np.pi * t / 96) + 0.1 * rng.normal(size=2000)
+    model = ArimaForecaster(input_length=48, horizon=12, seasonal_period=96)
+    model.fit(values[:1500], values[1500:1700])
+    x, _ = make_windows(values[1700:], 48, 12, stride=12)
+    positions = 1700 + np.arange(len(x)) * 12.0
+    return model, x, positions
+
+
+def test_design_memo_returns_the_computed_bytes_read_only(monkeypatch):
+    """A second predict over the same ticks takes both designs from the
+    memo: the forecasts keep their bytes, and the designs cannot be
+    written through."""
+    from repro.forecasting import arima
+
+    monkeypatch.setattr(arima, "_DESIGNS", arima.ContentMemo(size=4))
+    model, x, positions = _seasonal_model_and_windows()
+    first = model.predict(x, positions)
+    assert len(arima._DESIGNS) == 2
+    designs = list(arima._DESIGNS._values.values())
+    monkeypatch.setattr(arima, "_fourier_design", None)  # a miss would fail
+    assert model.predict(x, positions).tobytes() == first.tobytes()
+    for design in designs:
+        assert not design.flags.writeable
+        with pytest.raises(ValueError):
+            design[0, 0] = 1.0
+    d = model.order[1]
+    ticks = (positions[:, None] + d + np.arange(48 - d)[None, :]).ravel()
+    assert designs[0].tobytes() == _fourier_design(ticks, 96, 2).tobytes()
+
+
+def test_a_pickled_model_carries_no_design():
+    import pickle
+
+    model, x, positions = _seasonal_model_and_windows()
+    before = len(pickle.dumps(model))
+    first = model.predict(x, positions)
+    assert len(pickle.dumps(model)) == before
+    restored = pickle.loads(pickle.dumps(model))
+    assert restored.predict(x, positions).tobytes() == first.tobytes()

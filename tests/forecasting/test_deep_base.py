@@ -57,3 +57,38 @@ def test_moving_average_split_handles_1d():
 def test_bad_kernel_rejected():
     with pytest.raises(ValueError):
         DLinearForecaster(kernel=1)
+
+
+@pytest.mark.parametrize("validation_end", [610, 700])
+def test_fit_draws_the_windows_building_all_would_keep(validation_end,
+                                                        monkeypatch):
+    """Train, then validation windows (the last tenth of the training
+    windows on a degenerate split) are the rows that building every
+    window and subsampling it kept, with the generator left where it."""
+    from repro import reference
+
+    values = seasonal()
+    train, validation = values[:600], values[600:validation_end]
+    model = DLinearForecaster(input_length=32, horizon=8, kernel=9,
+                              max_train_windows=300,
+                              max_validation_windows=20)
+    seen = {}
+    monkeypatch.setattr(
+        model, "_train_on_windows",
+        lambda x, y, x_val, y_val, rng: seen.update(
+            rows=(x, y, x_val, y_val), next=rng.random()))
+    model.fit(train, validation)
+
+    rng = np.random.default_rng(model.seed)
+    x, y = reference.make_windows(model._scaler.transform(train), 32, 8)
+    if len(validation) >= 40:
+        x_val, y_val = reference.make_windows(
+            model._scaler.transform(validation), 32, 8)
+    else:
+        tail = max(len(x) // 10, 1)
+        x_val, y_val = x[-tail:], y[-tail:]
+    expected = (*reference.subsample_windows(x, y, 300, rng),
+                *reference.subsample_windows(x_val, y_val, 20, rng))
+    for drawn, built in zip(seen["rows"], expected):
+        assert drawn.tobytes() == built.tobytes()
+    assert seen["next"] == rng.random()

@@ -1,9 +1,17 @@
-"""Tests for sliding-window construction."""
+"""Tests for sliding-window construction.
+
+The strided views are pinned to the stacked per-window twins in
+``repro.reference``, and windows drawn before they are built to building
+every window and then subsampling it.
+"""
 
 import numpy as np
 import pytest
 
-from repro.forecasting import make_windows, paired_windows, subsample_windows
+from repro import reference
+from repro.forecasting import make_windows, paired_windows
+from repro.forecasting.windows import drawn_windows, window_count
+from repro.reference import subsample_windows
 
 
 def test_windows_shapes_and_content():
@@ -61,3 +69,53 @@ def test_subsample_noop_when_under_limit():
     y = np.zeros((3, 1))
     sx, sy = subsample_windows(x, y, 10, np.random.default_rng(0))
     assert sx is x and sy is y
+
+
+def _same(left, right):
+    """Equal shapes, dtypes and bytes, and C-contiguous like the twin."""
+    for a, b in zip(left, right):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 7, 24, 40])
+@pytest.mark.parametrize("length", [32, 33, 100, 257])
+def test_strided_windows_equal_the_stacked_twin(stride, length):
+    rng = np.random.default_rng(length * 100 + stride)
+    values = rng.normal(size=length).cumsum()
+    other = values + rng.normal(size=length)
+    _same(make_windows(values, 24, 8, stride),
+          reference.make_windows(values, 24, 8, stride))
+    _same(paired_windows(other, values, 24, 8, stride),
+          reference.paired_windows(other, values, 24, 8, stride))
+    assert len(make_windows(values, 24, 8, stride)[0]) == window_count(
+        length, 24, 8, stride)
+
+
+@pytest.mark.parametrize("limit", [1, 5, 68, 69, 70, 500])
+def test_drawn_windows_equal_build_all_then_subsample(limit):
+    # 100 values give 69 windows of 24+8: limits below, at and above it
+    values = np.random.default_rng(limit).normal(size=100)
+    drawn_rng, built_rng = (np.random.default_rng(7) for _ in range(2))
+    drawn = drawn_windows(values, 24, 8, limit, drawn_rng)
+    built = reference.make_windows(values, 24, 8)
+    _same(drawn, subsample_windows(*built, limit, built_rng))
+    # the same draws were made, so the generators continue alike
+    assert drawn_rng.random() == built_rng.random()
+
+
+def test_drawn_windows_over_candidate_starts():
+    values = np.arange(100.0)
+    tail = np.arange(60, 69)
+    x, y = drawn_windows(values, 24, 8, 4, np.random.default_rng(0),
+                         starts=tail)
+    built_x, built_y = reference.make_windows(values, 24, 8)
+    sx, sy = subsample_windows(built_x[60:], built_y[60:], 4,
+                               np.random.default_rng(0))
+    _same((x, y), (sx, sy))
+
+
+def test_drawn_windows_limit_must_be_positive():
+    with pytest.raises(ValueError):
+        drawn_windows(np.arange(100.0), 24, 8, 0, np.random.default_rng(0))

@@ -7,9 +7,10 @@
   file; the ticks it carried were never acknowledged.
 - Records the snapshot already holds (a crash between a snapshot write
   and the journal's deletion) are skipped.
-- A complete record with a bad checksum, or a gap in start ticks, is
-  corruption: restore raises :class:`CorruptJournal` and the daemon
-  answers the session as gone, never resuming it with ticks missing.
+- A record head or a complete record with a bad checksum, or a gap in
+  start ticks, is corruption: restore raises :class:`CorruptJournal`
+  and the daemon answers the session as gone, never resuming it with
+  ticks missing.
 - The journal never grows past the last snapshot's size.
 """
 
@@ -167,6 +168,39 @@ def test_a_bad_checksum_mid_journal_is_corruption(tmp_path):
     assert not os.path.exists(path)
     assert not os.path.exists(cache._path(_key(session_id)))
     assert restored.live() == 0
+
+
+@pytest.mark.parametrize("mask", [0x80, 0x04, 0x01])
+def test_a_flipped_length_mid_journal_is_corruption_not_a_torn_tail(
+        tmp_path, mask):
+    """Record 2 of 5 gets a length pointing past the end of the file.
+
+    Without a check on the frame head this read as a torn tail: the
+    reader cut the file there and dropped records 2 to 5 in silence.
+    """
+    cache, session_id, records = _journaled_session(tmp_path, 5)
+    path = _journal_path(cache, session_id)
+    data = bytearray(open(path, "rb").read())
+    second = JOURNAL_FRAME.size + len(records[0])
+    data[second + 3] ^= mask  # a bit of the length's high byte
+    open(path, "wb").write(bytes(data))
+    with pytest.raises(CorruptJournal, match="head"):
+        DiskCache(str(tmp_path)).journal(_key(session_id))
+    assert open(path, "rb").read() == bytes(data)  # nothing was cut
+
+
+def test_a_journal_with_the_old_eight_byte_frame_is_refused(tmp_path):
+    import struct
+    import zlib
+
+    cache = DiskCache(str(tmp_path))
+    path = cache._path("key", ".journal")
+    with open(path, "wb") as handle:
+        for payload in (b"first record", b"second record"):
+            handle.write(struct.pack("<II", len(payload),
+                                     zlib.crc32(payload)) + payload)
+    with pytest.raises(CorruptJournal):
+        cache.journal("key")
 
 
 def test_a_tick_gap_is_corruption(tmp_path):
