@@ -43,6 +43,11 @@ def no_grad():
         _graph_state.build = previous
 
 
+def building_graph() -> bool:
+    """False inside :func:`no_grad` on the current thread."""
+    return _graph_state.build
+
+
 def _unbroadcast(gradient: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``gradient`` down to ``shape`` (inverse of numpy broadcasting)."""
     # sum away prepended axes
