@@ -36,6 +36,7 @@ from repro.api.errors import ValidationError
 from repro.compression.registry import (GRID_METHODS, STREAMING_METHODS)
 from repro.core.results import RAW
 from repro.datasets.registry import DATASET_NAMES
+from repro.datasets.synthetic import PAPER_LENGTHS
 from repro.forecasting.rolling import STREAM_MODEL_NAMES
 from repro.registry import model_names, task_names
 
@@ -56,6 +57,18 @@ DEFAULT_TASK = "forecasting"
 def _check(condition: bool, message: str, key: str) -> None:
     if not condition:
         raise ValidationError(message, key=key)
+
+
+def _check_length(length: int | None, datasets) -> None:
+    """A requested length is positive and no longer than the Table 1
+    length of each named dataset (the largest when none is named): the
+    generators allocate from this number."""
+    if length is None:
+        return
+    limit = min((PAPER_LENGTHS[name] for name in datasets),
+                default=max(PAPER_LENGTHS.values()))
+    _check(0 < length <= limit,
+           f"length must be in [1, {limit}], got {length}", "length")
 
 
 @dataclass(frozen=True)
@@ -84,8 +97,7 @@ class CompressRequest:
         _check(self.part in PARTS,
                f"unknown part {self.part!r} (choose from {', '.join(PARTS)})",
                "part")
-        _check(self.length is None or self.length > 0,
-               f"length must be positive, got {self.length}", "length")
+        _check_length(self.length, (self.dataset,))
         return self
 
 
@@ -129,8 +141,7 @@ class ForecastRequest:
         _check(not (self.retrained and self.task != DEFAULT_TASK),
                "retrained=True applies to the forecasting task only",
                "retrained")
-        _check(self.length is None or self.length > 0,
-               f"length must be positive, got {self.length}", "length")
+        _check_length(self.length, (self.dataset,))
         return self
 
 
@@ -175,8 +186,7 @@ class GridRequest:
                "retrained")
         _check(self.seeds is None or self.seeds > 0,
                f"seeds must be positive, got {self.seeds}", "seeds")
-        _check(self.length is None or self.length > 0,
-               f"length must be positive, got {self.length}", "length")
+        _check_length(self.length, self.datasets or ())
         return self
 
 

@@ -46,7 +46,7 @@ from repro.api.responses import (CompressResponse, ForecastResponse,
                                  TraceResponse)
 from repro.compression.base import CompressionResult
 from repro.compression.serialize import compression_ratio, raw_gz_size
-from repro.core.cache import Cache, DiskCache
+from repro.core.cache import DiskCache
 from repro.core.config import EvaluationConfig
 from repro.core.results import ScenarioRecord
 from repro.datasets.timeseries import Dataset
@@ -66,7 +66,7 @@ class ApiService:
 
     def __init__(self, config: EvaluationConfig | None = None) -> None:
         self.config = config or EvaluationConfig()
-        self.cache: Cache = DiskCache(self.config.cache_dir)
+        self.cache = DiskCache(self.config.cache_dir)
         backend_options = {}
         if self.config.backend == "queue":
             backend_options = {

@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: all)")
     bench.add_argument("--output", default=None,
                        help="path for the JSON report ('' skips writing; "
-                            "default: the suite's committed baseline name)")
+                            "default: the suite's committed baseline name, "
+                            "or no report under --check)")
     bench.add_argument("--check", action="store_true",
                        help="exit 1 if any kernel misses its speedup floor "
                             "or a kernel/scalar mismatch is detected")
@@ -532,8 +533,7 @@ def _command_bench(args: argparse.Namespace) -> int:
             min_speedup=args.min_speedup)
         report = run_forecasting_bench(config, progress=print)
         failures = check_forecasting_report(report, args.min_speedup)
-        output = (args.output if args.output is not None
-                  else DEFAULT_FORECASTING_OUTPUT)
+        baseline = DEFAULT_FORECASTING_OUTPUT
         passed = (f"check passed: every model cleared its floor x "
                   f"{args.min_speedup:.2f}, forecasts identical, cached "
                   f"arrays served zero-copy")
@@ -549,11 +549,14 @@ def _command_bench(args: argparse.Namespace) -> int:
                                  else DEFAULT_MAX_OBS_OVERHEAD_PERCENT))
         report = run_bench(config, progress=print)
         failures = check_report(report, args.min_speedup)
-        output = args.output if args.output is not None else DEFAULT_OUTPUT
+        baseline = DEFAULT_OUTPUT
         passed = (f"check passed: all kernels >= {args.min_speedup:.2f}x "
                   f"over scalar, payloads identical, obs overhead within "
                   f"{report['obs_overhead']['max_percent']:.1f}%")
     _finish_trace(args.trace)
+    # a check compares against the committed baseline, so it leaves it be
+    output = args.output if args.output is not None else (
+        None if args.check else baseline)
     if output:
         write_report(report, output)
         print(f"report written to {output}")

@@ -3,7 +3,6 @@
 from repro.compression.base import (CompressionResult, Compressor,
                                     check_error_bound, gzip_bytes, gunzip_bytes)
 from repro.compression.cameo import Cameo
-from repro.compression.chimp import Chimp
 from repro.compression.gorilla import Gorilla
 from repro.compression.lfzip import LFZip
 from repro.compression.ppa import PPA
@@ -21,7 +20,6 @@ from repro.compression.serialize import (compression_ratio, raw_gz_size,
 
 __all__ = [
     "Cameo",
-    "Chimp",
     "LFZip",
     "PPA",
     "GRID_METHODS",

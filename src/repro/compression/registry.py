@@ -21,7 +21,6 @@ from repro.compression.cameo import Cameo
 from repro.compression.lfzip import LFZip
 from repro.compression.ppa import PPA
 from repro.compression.gorilla import Gorilla
-from repro.compression.chimp import Chimp
 
 # The 13 relative pointwise error bounds of Section 3.2, denser below 0.1.
 PAPER_ERROR_BOUNDS = (

@@ -1,4 +1,4 @@
-"""Caches for trained models and compression sweeps, and their contract.
+"""The content-addressed cache of trained models and compression sweeps.
 
 Training seven models on six datasets dominates the cost of regenerating
 the paper's tables; caching trained models on disk makes each bench
@@ -7,12 +7,16 @@ values must be picklable.  A key may also own an append-only journal of
 checksummed records beside its entry (stream sessions log each push
 there between full snapshots).
 
-The :class:`Cache` protocol formalizes what the task-graph scheduler and
-:class:`~repro.api.service.ApiService` actually require — the primitive
-``contains`` / ``get`` / ``put`` triple, no ``compute`` closure — with
-one implementation, :class:`DiskCache`: content-addressed files plus an
-in-memory layer, the result-coordination medium of the queue execution
-backend.  ``DiskCache(None)`` keeps the in-memory layer only, for
+:class:`DiskCache` is what the task-graph scheduler and
+:class:`~repro.api.service.ApiService` read and write through
+(``contains`` / ``get`` / ``put`` / ``remove``): content-addressed files,
+the result-coordination medium of the queue execution backend, plus a
+memory layer of the values this process ``put``.  That layer is an
+:class:`~repro.memo.LRU` bounded at :data:`MEMORY_BYTES`, each value
+charged the bytes of its disk entry, so a long-running daemon stays flat
+in memory.  A disk hit comes back as memory-mapped views and is not kept:
+each mapping holds an open file descriptor.  ``DiskCache(None)`` keeps
+the memory layer only, unbounded because it holds the only copy, for
 cacheless runs and tests.
 """
 
@@ -22,28 +26,31 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import pickle
 import struct
 import zlib
 from collections.abc import Callable
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
 from repro.compression.base import CompressionResult
 from repro.core.results import ScenarioRecord
 from repro.datasets.timeseries import TimeSeries
+from repro.memo import LRU
 from repro.obs.metrics import inc as _metric_inc
 
 #: sentinel distinguishing "no cached value" from a cached ``None``
 MISSING = object()
 
-#: exceptions a truncated or garbage pickle may raise on load.  Beyond the
-#: obvious ``UnpicklingError``/``EOFError``, corrupt payloads surface as
-#: ``ValueError``/``IndexError`` (mangled opcodes or frames), stale entries
-#: from older code as ``AttributeError``/``ImportError``/``KeyError``
-#: (renamed classes, removed modules, unknown extension codes).
+#: exceptions a corrupt or stale entry raises on load.  A wrong magic, an
+#: unknown version or tag, or a truncated file raise ``ValueError``; an
+#: unknown dataclass name ``KeyError``.  A garbage pickled column (a
+#: trained model) raises ``UnpicklingError``/``EOFError``/``ValueError``/
+#: ``IndexError``, a stale one ``AttributeError``/``ImportError``/
+#: ``KeyError`` (renamed classes, removed modules).
 CORRUPT_ENTRY_ERRORS = (
     pickle.UnpicklingError,
     EOFError,
@@ -53,25 +60,6 @@ CORRUPT_ENTRY_ERRORS = (
     ImportError,
     KeyError,
 )
-
-
-@runtime_checkable
-class Cache(Protocol):
-    """What the scheduler needs from a cache: probe, load, store.
-
-    ``contains`` must be cheap (an existence check, not a load) and may
-    answer ``True`` for an entry ``get`` later fails to read — callers
-    recompute on that path.  ``get`` takes a caller-supplied default so a
-    cached ``None`` is distinguishable from a miss.  ``put`` must be safe
-    to call twice with the same key (keys are content hashes, so the
-    bytes agree).
-    """
-
-    def contains(self, key: str) -> bool: ...
-
-    def get(self, key: str, default: Any = None) -> Any: ...
-
-    def put(self, key: str, value: Any) -> None: ...
 
 
 # -- columnar on-disk format --------------------------------------------------
@@ -95,12 +83,12 @@ class Cache(Protocol):
 # as ``mapping[begin:end].view(dtype).reshape(shape)`` — a view into the
 # OS page cache, no deserialization copy and no pickle on the read path.
 #
-# Versioning and recovery: readers reject an unknown magic by falling back
-# to :func:`pickle.load` (pre-columnar entries keep working), and any
-# structural inconsistency in a columnar entry — unknown header version or
-# tag, out-of-bounds column, truncated file — raises one of
-# ``CORRUPT_ENTRY_ERRORS``, which :meth:`DiskCache.get` already converts
-# into delete-and-recompute.
+# Versioning and recovery: an unknown magic (a file this format did not
+# write, such as a planted pickle) and any structural inconsistency —
+# unknown header version or tag, out-of-bounds column, truncated file —
+# raise one of ``CORRUPT_ENTRY_ERRORS``, which :meth:`DiskCache.get`
+# converts into delete-and-recompute.  No pickle is read from a file this
+# format did not write.
 
 _MAGIC = b"RPROCOL1"
 _FORMAT_VERSION = 1
@@ -260,18 +248,27 @@ class CorruptJournal(ValueError):
     other."""
 
 
+#: bytes of the values a directory-backed :class:`DiskCache` keeps in
+#: memory, each charged the size of its disk entry; beyond it the least
+#: recently used are dropped from memory (their files stay)
+MEMORY_BYTES = 64 * 2**20
+
+
 class DiskCache:
-    """A key -> columnar file cache with an in-memory layer.
+    """A key -> columnar file cache with a bounded memory layer.
 
     Entries are stored in the zero-copy columnar format above; array
-    payloads come back as memory-mapped views.  Files that predate the
-    format (or whose magic does not match) fall back to ``pickle.load``.
-    Journals (:meth:`append`, :meth:`journal`) live on disk only.
+    payloads come back as memory-mapped views.  A file whose magic does
+    not match is a corrupt entry.  Journals (:meth:`append`,
+    :meth:`journal`) live on disk only.
     """
 
     def __init__(self, directory: str | None) -> None:
         self.directory = directory
-        self._memory: dict[str, Any] = {}
+        # a memory-only cache holds the only copy of each value, so it
+        # never drops one; read at construction so tests can shrink it
+        self._memory = LRU(MEMORY_BYTES if directory is not None
+                           else math.inf)
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
 
@@ -294,50 +291,39 @@ class DiskCache:
         """The cached value for ``key``, or ``default`` on a miss.
 
         A memory-layer hit returns before any filesystem access — no path
-        construction, no stat, no open.  Disk hits are read through the
-        columnar zero-copy path (legacy entries through pickle) and the
-        bytes consumed are counted in ``cache.bytes_read``; corrupt
-        entries are deleted and reported as misses.
+        construction, no stat, no open — and marks the key recently used.
+        Disk hits are read through the columnar zero-copy path, counted in
+        ``cache.bytes_read`` and not kept in memory; corrupt entries are
+        deleted and reported as misses.
         """
-        if key in self._memory:
+        value = self._memory.get(key, MISSING)
+        if value is not MISSING:
             _metric_inc("cache.hit_memory")
-            return self._memory[key]
+            return value
         if self.directory is not None:
             path = self._path(key)
-            if os.path.exists(path):
-                try:
-                    value, bytes_read = self._load(path)
-                except CORRUPT_ENTRY_ERRORS:
-                    # stale or corrupt entry: drop it and recompute; another
-                    # process may have removed the file first
-                    _metric_inc("cache.corrupt")
-                    with contextlib.suppress(FileNotFoundError):
-                        os.remove(path)
-                except FileNotFoundError:
-                    pass  # removed between the existence check and the open
-                else:
-                    _metric_inc("cache.hit_disk")
-                    _metric_inc("cache.bytes_read", bytes_read)
-                    self._memory[key] = value
-                    return value
+            try:
+                value, bytes_read = _load_columnar(path)
+            except CORRUPT_ENTRY_ERRORS:
+                # stale or corrupt entry: drop it and recompute; another
+                # process may have removed the file first
+                _metric_inc("cache.corrupt")
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+            except FileNotFoundError:
+                pass  # no entry, or removed by another process
+            else:
+                _metric_inc("cache.hit_disk")
+                _metric_inc("cache.bytes_read", bytes_read)
+                return value
         _metric_inc("cache.miss")
         return default
-
-    @staticmethod
-    def _load(path: str) -> tuple[Any, int]:
-        """Load one disk entry, columnar when the magic matches."""
-        with open(path, "rb") as handle:
-            if handle.read(len(_MAGIC)) == _MAGIC:
-                return _load_columnar(path)
-            # legacy (pre-columnar) pickle entry
-            handle.seek(0)
-            value = pickle.load(handle)
-            return value, handle.tell()
 
     def put(self, key: str, value: Any) -> int:
         """Store ``value`` under ``key`` in memory and (atomically) on disk.
 
-        Returns the bytes written to disk (0 for a memory-only cache).
+        Returns the bytes written to disk (0 for a memory-only cache),
+        which is also what the value costs the memory layer.
         The temporary file is pid-suffixed so two processes sharing one
         cache directory cannot clobber each other's half-written entry,
         and it is removed if serialization fails partway — a failed ``put``
@@ -357,7 +343,7 @@ class DiskCache:
                 raise
             os.replace(temporary, self._path(key))
             written = len(blob)
-        self._memory[key] = value
+        self._memory.put(key, value, written)
         _metric_inc("cache.put")
         return written
 
@@ -430,21 +416,9 @@ class DiskCache:
         must not be restorable from a stale snapshot.  Removal is
         race-safe: another process deleting the same file first is fine.
         """
-        self._memory.pop(key, None)
+        self._memory.pop(key)
         if self.directory is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(self._path(key))
             self.remove_journal(key)
         _metric_inc("cache.remove")
-
-    def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
-        """Return the cached value for ``key``, computing it on a miss."""
-        value = self.get(key, MISSING)
-        if value is MISSING:
-            value = compute()
-            self.put(key, value)
-        return value
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (disk entries survive)."""
-        self._memory.clear()

@@ -67,12 +67,13 @@ class Scheduler:
     """Runs task graphs on an execution backend, through one cache.
 
     Policy lives here; the backend only executes attempts.  ``cache`` is
-    anything satisfying :class:`repro.core.cache.Cache` (``None`` uses a
-    private in-memory ``DiskCache(None)``); the queue backend additionally requires a
-    ``DiskCache`` so workers in other processes can see results.
+    the :class:`~repro.core.cache.DiskCache` every job reads and writes
+    through (``None`` uses a private in-memory ``DiskCache(None)``); the
+    queue backend requires one with a directory so workers in other
+    processes can see results.
     """
 
-    def __init__(self, cache: Any = None,
+    def __init__(self, cache: DiskCache | None = None,
                  backend: ExecutionBackend | None = None,
                  job_timeout: float | None = None, job_retries: int = 0,
                  keep_going: bool = False) -> None:

@@ -36,10 +36,13 @@ The :class:`SessionManager` is the server-side registry:
   acknowledged ticks missing.  A memory-only cache (``DiskCache(None)``)
   keeps the full snapshot of every push in memory instead;
 - **LRU eviction** (``max_resident``): beyond the residency cap the
-  least-recently-touched idle session is dropped from memory only (its
-  snapshot and journal already hold it); sessions with an in-flight
-  request are never evicted (a reference count guards them, so one
-  session object per id exists at any time);
+  least-recently-touched idle session object is dropped (its snapshot
+  and journal already hold it).  Its last snapshot value stays in the
+  cache's memory layer only while it fits that layer's byte budget
+  (:data:`~repro.core.cache.MEMORY_BYTES`); a restore after that reads
+  the file.  Sessions with an in-flight request are never evicted (a
+  reference count guards them, so one session object per id exists at
+  any time);
 - **TTL expiry**: a session idle past its TTL is discarded entirely —
   memory, snapshot, journal and admission slot — by the background
   sweeper or lazily on access.  TTL uses wall-clock time
@@ -559,8 +562,9 @@ class SessionManager:
     def _evict_overflow_locked(self) -> None:
         """LRU-evict resident sessions beyond the residency cap.
 
-        Memory-only: the write-through snapshot already holds the
-        session's state, so eviction is just forgetting the object.
+        The write-through snapshot already holds the session's state,
+        so eviction is just forgetting the object; the cache's memory
+        layer keeps the snapshot only within its own byte budget.
         Pinned sessions (in-flight requests) are skipped — at most one
         object per session id ever exists.
         """

@@ -145,3 +145,20 @@ def test_tagged_payload_inside_a_free_form_dict_is_checked():
                                     "kind": "x", "key": "k"}}
     with pytest.raises(ValidationError, match="message"):
         decode(payload)
+
+
+@pytest.mark.parametrize("request_, limit", [
+    (CompressRequest("ETTm1", "PMC", 0.1, length=10**12), 69_680),
+    (ForecastRequest("Arima", "Solar", length=52_561), 52_560),
+    (GridRequest(datasets=("Wind", "Weather"), length=60_000), 52_704),
+    (GridRequest(length=432_001), 432_000),
+    (CompressRequest("ETTm1", "PMC", 0.1, length=0), 69_680),
+], ids=["compress", "forecast", "grid-named", "grid-unnamed", "zero"])
+def test_length_beyond_table_1_is_refused(request_, limit):
+    decoded = decode(encode(request_))
+    with pytest.raises(ValidationError, match=f"in \\[1, {limit}\\]") as info:
+        decoded.validate()
+    assert info.value.envelope.key == "length"
+    # the largest length each request may ask for passes
+    ok = {"length": limit}
+    decode({**encode(request_), **ok}).validate()

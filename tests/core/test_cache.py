@@ -31,48 +31,42 @@ class _Exploding:
 
 def test_memory_layer_avoids_recompute(tmp_path):
     cache = DiskCache(str(tmp_path))
-    calls = []
-    value = cache.get_or_compute("k", lambda: calls.append(1) or 42)
-    again = cache.get_or_compute("k", lambda: calls.append(1) or 43)
-    assert value == again == 42
-    assert len(calls) == 1
+    value = [42]
+    cache.put("k", value)
+    assert cache.get("k") is value  # the object put, not a reread copy
 
 
 def test_disk_layer_survives_new_instance(tmp_path):
-    DiskCache(str(tmp_path)).get_or_compute("k", lambda: {"a": np.arange(3)})
-    fresh = DiskCache(str(tmp_path))
-    value = fresh.get_or_compute("k", lambda: (_ for _ in ()).throw(
-        AssertionError("should have come from disk")))
+    DiskCache(str(tmp_path)).put("k", {"a": np.arange(3)})
+    value = DiskCache(str(tmp_path)).get("k", MISSING)
+    assert value is not MISSING
     assert np.array_equal(value["a"], np.arange(3))
 
 
 def test_none_directory_is_memory_only():
     cache = DiskCache(None)
-    assert cache.get_or_compute("k", lambda: 7) == 7
-    assert cache.get_or_compute("k", lambda: 8) == 7
-
-
-def test_clear_memory_keeps_disk(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    cache.get_or_compute("k", lambda: 1)
-    cache.clear_memory()
-    assert cache.get_or_compute("k", lambda: 2) == 1
+    assert cache.put("k", 7) == 0
+    assert cache.get("k") == 7
+    assert DiskCache(None).get("k", MISSING) is MISSING
 
 
 def test_corrupt_entry_recomputed(tmp_path):
     cache = DiskCache(str(tmp_path))
-    cache.get_or_compute("k", lambda: 1)
+    cache.put("k", 1)
     path = cache._path("k")
     with open(path, "wb") as handle:
         handle.write(b"not a pickle")
     fresh = DiskCache(str(tmp_path))
-    assert fresh.get_or_compute("k", lambda: 99) == 99
+    assert fresh.get("k", MISSING) is MISSING
+    assert not os.path.exists(path)  # revoked, so the recompute rewrites it
 
 
 def test_distinct_keys_do_not_collide(tmp_path):
     cache = DiskCache(str(tmp_path))
-    assert cache.get_or_compute("a", lambda: 1) == 1
-    assert cache.get_or_compute("b", lambda: 2) == 2
+    cache.put("a", 1)
+    cache.put("b", 2)
+    fresh = DiskCache(str(tmp_path))
+    assert (fresh.get("a"), fresh.get("b")) == (1, 2)
 
 
 def test_get_put_contains_primitives(tmp_path):
@@ -95,27 +89,30 @@ def test_cached_none_is_distinguishable_from_miss(tmp_path):
 
 
 def test_entry_raising_value_error_recomputed(tmp_path):
+    # a pickled column (a trained model) that raises when loaded
+    DiskCache(str(tmp_path)).put("k", _Exploding(_raise_value_error))
     cache = DiskCache(str(tmp_path))
-    with open(cache._path("k"), "wb") as handle:
-        pickle.dump(_Exploding(_raise_value_error), handle)
-    assert cache.get_or_compute("k", lambda: 41) == 41
+    assert cache.get("k", MISSING) is MISSING
+    cache.put("k", 41)
     # the corrupt file was removed and replaced by the recomputed value
     assert DiskCache(str(tmp_path)).get("k") == 41
 
 
 def test_entry_raising_index_error_recomputed(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    with open(cache._path("k"), "wb") as handle:
-        pickle.dump(_Exploding(_raise_index_error), handle)
-    assert cache.get_or_compute("k", lambda: 42) == 42
+    DiskCache(str(tmp_path)).put("k", _Exploding(_raise_index_error))
+    assert DiskCache(str(tmp_path)).get("k", MISSING) is MISSING
 
 
-def test_entry_referencing_removed_module_recomputed(tmp_path):
-    cache = DiskCache(str(tmp_path))
-    # a stale pickle whose global no longer exists raises ImportError
-    with open(cache._path("k"), "wb") as handle:
-        handle.write(b"cno_such_repro_module\nMissingClass\n.")
-    assert cache.get_or_compute("k", lambda: 43) == 43
+def test_entry_referencing_removed_module_recomputed(tmp_path, monkeypatch):
+    import repro.core.cache as cache_module
+
+    # a stale pickled column whose global no longer exists raises
+    # ImportError
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module.pickle, "dumps",
+                      lambda value: b"cno_such_repro_module\nMissingClass\n.")
+        DiskCache(str(tmp_path)).put("k", object())
+    assert DiskCache(str(tmp_path)).get("k", MISSING) is MISSING
 
 
 def test_truncated_pickle_recomputed(tmp_path):
@@ -127,7 +124,7 @@ def test_truncated_pickle_recomputed(tmp_path):
     with open(path, "wb") as handle:
         handle.write(payload[:len(payload) // 2])
     fresh = DiskCache(str(tmp_path))
-    assert fresh.get_or_compute("k", lambda: "recomputed") == "recomputed"
+    assert fresh.get("k", MISSING) is MISSING
 
 
 def test_corrupt_removal_race_is_suppressed(tmp_path, monkeypatch):
@@ -145,7 +142,7 @@ def test_corrupt_removal_race_is_suppressed(tmp_path, monkeypatch):
         raise FileNotFoundError(path)  # ... and ours fails
 
     monkeypatch.setattr(cache_module.os, "remove", racing_remove)
-    assert cache.get_or_compute("k", lambda: 7) == 7
+    assert cache.get("k", MISSING) is MISSING
 
 
 def _cache_race_worker(directory, entries, iterations):
@@ -258,13 +255,25 @@ def test_numpy_scalars_keep_their_type(tmp_path):
     assert type(loaded["f"]) is np.float32 and loaded["f"] == np.float32(1.5)
 
 
-def test_legacy_pickle_entry_still_reads(tmp_path):
-    """Entries written before the columnar format stay readable."""
+def test_planted_pickle_is_recomputed_not_loaded(tmp_path, monkeypatch):
+    """A pickle file in the cache directory is a corrupt entry: revoked
+    without being unpickled, so the caller recomputes it."""
+    import repro.core.cache as cache_module
+
     cache = DiskCache(str(tmp_path))
-    with open(cache._path("k"), "wb") as handle:
-        pickle.dump({"legacy": np.arange(4)}, handle)
-    loaded = DiskCache(str(tmp_path)).get("k")
-    assert np.array_equal(loaded["legacy"], np.arange(4))
+    path = cache._path("k")
+    with open(path, "wb") as handle:
+        pickle.dump({"planted": np.arange(4)}, handle)
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("a planted file reached pickle")
+
+    monkeypatch.setattr(cache_module.pickle, "load", poisoned)
+    monkeypatch.setattr(cache_module.pickle, "loads", poisoned)
+    assert cache.get("k", MISSING) is MISSING
+    assert not os.path.exists(path)
+    cache.put("k", "recomputed")
+    assert DiskCache(str(tmp_path)).get("k") == "recomputed"
 
 
 def test_unknown_format_version_recomputed(tmp_path):
@@ -279,7 +288,8 @@ def test_unknown_format_version_recomputed(tmp_path):
     with open(cache._path("k"), "wb") as handle:
         handle.write(_MAGIC + struct.pack("<Q", len(header))
                      + header.encode())
-    assert cache.get_or_compute("k", lambda: "recomputed") == "recomputed"
+    assert cache.get("k", MISSING) is MISSING
+    cache.put("k", "recomputed")
     assert DiskCache(str(tmp_path)).get("k") == "recomputed"
 
 
@@ -322,9 +332,11 @@ def test_bytes_read_metric_counts_disk_reads(tmp_path):
     try:
         fresh = DiskCache(str(tmp_path))
         fresh.get("k")   # disk read
-        fresh.get("k")   # memory hit: no additional bytes
-        assert registry.counters["cache.bytes_read"] == size
-        assert registry.counters["cache.hit_disk"] == 1
+        fresh.get("k")   # a disk hit is not kept: read again
+        assert registry.counters["cache.bytes_read"] == 2 * size
+        assert registry.counters["cache.hit_disk"] == 2
+        assert "cache.hit_memory" not in registry.counters
+        cache.get("k")   # the value this process put: a memory hit
         assert registry.counters["cache.hit_memory"] == 1
     finally:
         metrics.disable()
@@ -350,3 +362,57 @@ def test_cross_process_reads_are_memmap_backed(tmp_path):
     assert process.exitcode == 0
     assert mapped
     assert total == float(np.arange(256).sum())
+
+
+# -- the bounded memory layer --------------------------------------------------
+
+
+def test_memory_layer_drops_least_recently_used_past_its_budget(
+        tmp_path, monkeypatch):
+    import repro.core.cache as cache_module
+
+    cache = DiskCache(str(tmp_path))
+    entry = cache.put("probe", np.zeros(1000))
+    cache.remove("probe")
+    monkeypatch.setattr(cache_module, "MEMORY_BYTES", 2 * entry)
+    cache = DiskCache(str(tmp_path))
+    values = {key: np.full(1000, float(n)) for n, key in enumerate("abc")}
+    cache.put("a", values["a"])
+    cache.put("b", values["b"])
+    assert cache.get("a") is values["a"]  # a hit makes "a" the most recent
+    cache.put("c", values["c"])           # so "b" is dropped
+    assert cache.get("a") is values["a"]
+    assert cache.get("c") is values["c"]
+    dropped = cache.get("b")              # read back from disk instead
+    assert dropped is not values["b"]
+    assert np.array_equal(dropped, values["b"])
+    assert cache._memory.weight <= 2 * entry
+
+
+def test_memory_only_cache_never_drops_a_value(monkeypatch):
+    import repro.core.cache as cache_module
+
+    monkeypatch.setattr(cache_module, "MEMORY_BYTES", 1)
+    cache = DiskCache(None)
+    for n in range(50):
+        cache.put(f"k{n}", np.full(1000, float(n)))
+    assert all(cache.get(f"k{n}")[0] == n for n in range(50))
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors through /proc/self/fd")
+def test_disk_hits_leave_no_descriptor_open(tmp_path):
+    """A mapped value holds a file descriptor, so a disk hit must not be
+    kept: a daemon reading a full cache directory would run out."""
+    writer = DiskCache(str(tmp_path))
+    for n in range(120):
+        writer.put(f"k{n}", _result_value(64))
+    fresh = DiskCache(str(tmp_path))
+    before = _open_fds()
+    for n in range(120):
+        assert fresh.get(f"k{n}").original.values[3] == 3.0
+    assert _open_fds() == before

@@ -203,6 +203,30 @@ def test_trace_flags_parse():
     assert args.top == 3
 
 
+@pytest.mark.parametrize("suite", ["compression", "forecasting"])
+def test_bench_check_leaves_the_committed_baseline_alone(
+        suite, tmp_path, monkeypatch, capsys):
+    import repro.bench as bench
+
+    report = {"suite": suite, "obs_overhead": {"max_percent": 2.0}}
+    for name in ("run_bench", "run_forecasting_bench"):
+        monkeypatch.setattr(bench, name, lambda config, progress: report)
+    for name in ("check_report", "check_forecasting_report"):
+        monkeypatch.setattr(bench, name, lambda report, floor: [])
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--suite", suite, "--check"]) == 0
+    assert "check passed" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    # an explicit --output still writes; no --check regenerates the baseline
+    assert main(["bench", "--suite", suite, "--check",
+                 "--output", "check.json"]) == 0
+    assert main(["bench", "--suite", suite]) == 0
+    baseline = (bench.DEFAULT_OUTPUT if suite == "compression"
+                else bench.DEFAULT_FORECASTING_OUTPUT)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        ["check.json", baseline])
+
+
 # -- typed-API rerouting -------------------------------------------------------
 
 

@@ -115,7 +115,8 @@ def test_design_memo_returns_the_computed_bytes_read_only(monkeypatch):
     model, x, positions = _seasonal_model_and_windows()
     first = model.predict(x, positions)
     assert len(arima._DESIGNS) == 2
-    designs = list(arima._DESIGNS._values.values())
+    designs = [design for design, _ in
+               arima._DESIGNS._values._entries.values()]
     monkeypatch.setattr(arima, "_fourier_design", None)  # a miss would fail
     assert model.predict(x, positions).tobytes() == first.tobytes()
     for design in designs:

@@ -64,7 +64,7 @@ def test_tfe_is_bounded_below_by_minus_one(setup):
 
 def test_decompressed_series_keeps_time_axis(setup):
     test_series, _ = setup
-    for method in ("PMC", "SWING", "SZ", "GORILLA", "PPA", "CHIMP"):
+    for method in ("PMC", "SWING", "SZ", "GORILLA", "PPA"):
         result = make_compressor(method).compress(test_series, 0.1)
         assert result.decompressed.start == test_series.start
         assert result.decompressed.interval == test_series.interval

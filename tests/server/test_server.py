@@ -203,6 +203,15 @@ def test_semantically_invalid_request_is_a_structured_400(client):
     assert json.loads(body)["kind"] == "validation"
 
 
+def test_length_beyond_table_1_is_a_structured_400(client):
+    status, body = client.request_raw(
+        "POST", "/v1/compress",
+        encode(CompressRequest("ETTm1", "PMC", 0.1, length=10**12)))
+    assert status == 400
+    envelope = json.loads(body)
+    assert (envelope["kind"], envelope["key"]) == ("validation", "length")
+
+
 def test_wrong_request_type_for_endpoint_is_rejected(client):
     status, body = client.request_raw(
         "POST", "/v1/compress", encode(GridRequest()))

@@ -1,4 +1,5 @@
-"""The content-keyed memo behind the characteristic and Fourier memos."""
+"""The content-keyed memo behind the characteristic and Fourier memos,
+and the weighted LRU under it and the cache's memory layer."""
 
 import sys
 import threading
@@ -6,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.memo import ContentMemo
+from repro.memo import LRU, ContentMemo
 
 
 def test_a_hit_is_found_by_content_and_params():
@@ -45,6 +46,26 @@ def test_the_least_recently_used_value_is_dropped():
 def test_size_must_be_positive():
     with pytest.raises(ValueError):
         ContentMemo(size=0)
+    with pytest.raises(ValueError):
+        LRU(0)
+
+
+def test_weights_bound_the_lru():
+    lru = LRU(10)
+    lru.put("a", "A", 4)
+    lru.put("b", "B", 4)
+    assert lru.get("a") == "A"  # touched: "b" is now the oldest
+    lru.put("c", "C", 4)        # 12 > 10 drops "b"
+    assert ("a" in lru, "b" in lru, "c" in lru) == (True, False, True)
+    assert lru.weight == 8
+    lru.put("a", "A2", 1)       # a re-put replaces the weight
+    assert lru.weight == 5 and lru.get("a") == "A2"
+    lru.put("huge", "H", 11)    # heavier than the budget: dropped at once
+    assert "huge" not in lru and lru.weight <= 10
+    lru.pop("c")
+    lru.pop("missing")
+    assert lru.get("c", "default") == "default"
+    assert len(lru) == 0 and lru.weight == 0
 
 
 def test_shared_between_threads():
@@ -76,3 +97,38 @@ def test_shared_between_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert len(memo) <= 2
+
+
+def test_lru_weight_survives_threads():
+    """Eight threads put, get and pop weighted values in one small LRU
+    (more threads than cores, a short switch interval): a lost update
+    would leave the running weight off the stored values' sum."""
+    lru = LRU(40)
+    failures = []
+
+    def hammer(offset):
+        for i in range(400):
+            key = (i + offset) % 13
+            if i % 7 == 0:
+                lru.pop(key)
+            else:
+                lru.put(key, key, weight=key % 5 + 1)
+            value = lru.get(key)
+            if value is not None and value != key:
+                failures.append(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(n,))
+                   for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    stored = [lru._entries[key][1] for key in list(lru._entries)]
+    assert lru.weight == sum(stored) <= lru.capacity

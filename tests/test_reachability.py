@@ -1,8 +1,15 @@
-"""Every module under ``src/repro`` is reached from an entry point.
+"""Every module under ``src/repro`` is reached from an entry point, and
+every registered codec and model is named by one.
 
 A module that no CLI command, daemon, benchmark or example imports is
 dead weight, so this test walks the static import graph and fails naming
 every module it cannot reach.
+
+A registered plugin is imported by its registry, so the import graph
+always reaches it.  It counts as reached only if a user can select it by
+name: a ``repro-eval`` choice, the API's accepted names
+(``COMPRESS_METHODS``, ``GRID_METHODS``, ``GRID_MODELS``), or a string in
+a benchmark or an example.
 
 - Roots: ``repro.cli``, ``repro.server.app``, ``repro.server.__main__``
   and every ``.py`` file under ``benchmarks/`` and ``examples/``.
@@ -17,8 +24,11 @@ every module it cannot reach.
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
+
+from repro import registry
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -148,3 +158,48 @@ def test_every_module_is_reached_from_an_entry_point():
     assert not unreached, (
         "modules no entry point imports (give each a caller or delete "
         f"it): {', '.join(unreached)}")
+
+
+def _named() -> set[str]:
+    """Every name a CLI choice, the API or a benchmark or example gives."""
+    from repro.api.requests import COMPRESS_METHODS
+    from repro.cli import build_parser
+    from repro.compression.registry import GRID_METHODS
+    from repro.forecasting.registry import GRID_MODELS
+
+    names = {*COMPRESS_METHODS, *GRID_METHODS, *GRID_MODELS}
+    parsers = [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.choices:
+                names.update(action.choices)
+    for directory in ROOT_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            names.update(node.value for node in ast.walk(_parse(path))
+                         if isinstance(node, ast.Constant)
+                         and isinstance(node.value, str))
+    return names
+
+
+def _unnamed() -> list[str]:
+    plugins = {*registry.compressor_names(), *registry.model_names()}
+    return sorted(plugins - _named())
+
+
+def test_every_registered_plugin_is_named_by_a_user_surface():
+    unnamed = _unnamed()
+    assert not unnamed, (
+        "registered codecs or models no user can select (name each in a "
+        f"CLI choice, the API, a benchmark or an example, or delete it): "
+        f"{', '.join(unnamed)}")
+
+
+def test_a_codec_registered_with_no_caller_is_flagged(monkeypatch):
+    """Chimp was registered as ``CHIMP`` while nothing could select it."""
+    registry.compressor_names()  # register the built-in plugins first
+    monkeypatch.setitem(registry._COMPRESSORS, "CHIMP",
+                        registry.CompressorInfo("CHIMP", object, lossy=False,
+                                                error_bound="none"))
+    assert _unnamed() == ["CHIMP"]
