@@ -82,11 +82,6 @@ class ApiService:
             job_retries=self.config.job_retries,
             keep_going=self.config.keep_going)
         self.context = self.scheduler.context
-        # gzip size of each raw source series, the CR denominator, keyed
-        # (dataset, length, part): a pure function of a series the run
-        # context already keeps, so cache-hit batches skip the CSV + gzip.
-        # Unlocked: two batches racing on a miss both store the same int.
-        self._raw_sizes: dict[tuple, int] = {}
         self._lock = threading.RLock()
         self._trace_dir = self.config.trace_dir
         if self._trace_dir is not None:
@@ -115,10 +110,10 @@ class ApiService:
                 for failure in manifest.failures]
 
     def dataset(self, name: str, length: int | None = None) -> Dataset:
-        return self.context.dataset(name, self._length(length))
+        return self.context.source(name, self._length(length)).dataset
 
     def split(self, name: str, length: int | None = None) -> Split:
-        return self.context.split(name, self._length(length))
+        return self.context.source(name, self._length(length)).split
 
     def run_jobs(self, jobs: list[JobSpec]) -> dict[str, Any]:
         """Run arbitrary job specs as one graph (the in-process escape
@@ -162,7 +157,7 @@ class ApiService:
                       length: int | None) -> dict:
         kwargs = dict(self.config.model_kwargs.get(model_name, {}))
         if model_name == "Arima":
-            dataset = self.context.dataset(dataset_name, length)
+            dataset = self.context.source(dataset_name, length).dataset
             kwargs.setdefault("seasonal_period", dataset.seasonal_period)
         return kwargs
 
@@ -228,18 +223,14 @@ class ApiService:
             out.append(self._compress_response(request, job, result))
         return out
 
-    def _source_series(self, job: CompressJob):
-        if job.part == "full":
-            return self.context.dataset(job.dataset, job.length).target_series
-        parts = self.context.split(job.dataset, job.length)
-        return getattr(parts, job.part).target_series
-
     def _compress_response(self, request: CompressRequest, job: CompressJob,
                            result: CompressionResult) -> CompressResponse:
-        series = self._source_series(job)
-        size_key = (job.dataset, job.length, job.part)
-        if size_key not in self._raw_sizes:
-            self._raw_sizes[size_key] = raw_gz_size(series)
+        source = self.context.source(job.dataset, job.length)
+        series = source.series(job.part)
+        # the CR denominator, kept on the source entry so cache-hit
+        # batches skip the CSV + gzip of the raw series
+        raw_size = source.derived(("gzip", job.part),
+                                  lambda: raw_gz_size(series))
         te = {}
         for metric in METRICS:
             try:
@@ -252,7 +243,7 @@ class ApiService:
             dataset=request.dataset, method=request.method,
             error_bound=request.error_bound, part=job.part,
             compressed_size=result.compressed_size,
-            compression_ratio=compression_ratio(self._raw_sizes[size_key],
+            compression_ratio=compression_ratio(raw_size,
                                                 result.compressed_size),
             num_segments=result.num_segments, te=te)
 

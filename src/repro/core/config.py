@@ -34,8 +34,6 @@ class EvaluationConfig:
     #: random-seed counts (paper: 10 deep / 5 simple)
     deep_seeds: int = 2
     simple_seeds: int = 1
-    #: metric used for TE/TFE headline numbers
-    metric: str = "NRMSE"
     #: directory for trained-model/compression caches (None = no cache)
     cache_dir: str | None = ".cache"
     #: worker count for the task-graph scheduler; with the default backend,

@@ -26,6 +26,7 @@ them to worker processes.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar
 
@@ -33,16 +34,16 @@ import numpy as np
 
 from repro.compression.registry import make as make_compressor
 from repro.core.results import RAW, ScenarioRecord
-from repro.datasets.registry import load
+from repro.datasets.registry import DATASET_NAMES, load
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.datasets.splits import Split, split
-from repro.datasets.timeseries import Dataset
+from repro.datasets.timeseries import Dataset, TimeSeries
 from repro.features.registry import compute_all, relative_difference
 from repro.forecasting.base import Forecaster
 from repro.forecasting.registry import make as make_model
 from repro.forecasting.windows import paired_windows
-from repro.memo import ContentMemo
+from repro.memo import LRU, ContentMemo
 from repro.metrics.pointwise import METRICS
 
 #: bump to invalidate every runtime cache entry after a semantic change
@@ -67,14 +68,46 @@ def freeze_kwargs(kwargs: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
                         for name, value in kwargs.items()))
 
 
+class Source:
+    """One (dataset, length) and the values derived from its raw series,
+    kept and dropped together.  :meth:`series` maps a part name to a
+    series; :meth:`derived` memoizes the rest (split, characteristics,
+    detections, gzip sizes)."""
+
+    def __init__(self, dataset: Dataset) -> None:
+        self.dataset = dataset
+        self._derived: dict[Hashable, Any] = {}
+
+    def derived(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """``compute()``, run once per entry and ``key``."""
+        if key not in self._derived:
+            self._derived.setdefault(key, compute())
+        return self._derived[key]
+
+    @property
+    def split(self) -> Split:
+        return self.derived("split", lambda: split(self.dataset))
+
+    def series(self, part: str) -> TimeSeries:
+        """The target series of ``part``: ``"full"`` for the whole
+        dataset, else the ``"train"``, ``"validation"`` or ``"test"``
+        split part."""
+        if part == "full":
+            return self.dataset.target_series
+        return getattr(self.split, part).target_series
+
+
 class RuntimeContext:
-    """Per-process cache of datasets, splits, and raw-series results.
+    """Per-process table of sources, and a memo of characteristics.
 
     Jobs receive a context instead of loading datasets themselves so that
-    one process (the serial executor, or each pool worker) instantiates a
-    dataset and its chronological split exactly once.  Characteristics
-    are memoized by content: codecs often decode different cells to the
-    same series, and the catalogue runs once per distinct series.
+    one process (the serial executor, or each pool worker) loads a
+    (dataset, length) once.  The table holds one :class:`Source` per
+    registered dataset (one length each), least recently used dropped
+    first, so a daemon asked for ever new lengths stays flat.
+    Characteristics are memoized by content: codecs often decode
+    different cells to the same series, and the catalogue runs once per
+    distinct series.
     """
 
     #: distinct series whose characteristics are kept (least recently
@@ -82,25 +115,18 @@ class RuntimeContext:
     FEATURE_MEMO_SIZE = 64
 
     def __init__(self) -> None:
-        self._datasets: dict[tuple[str, int | None], Dataset] = {}
-        self._splits: dict[tuple[str, int | None], Split] = {}
+        self._sources = LRU(len(DATASET_NAMES))
         self._features = ContentMemo(self.FEATURE_MEMO_SIZE)
-        self._raw_features: dict[tuple[str, int | None],
-                                 dict[str, float]] = {}
-        self._raw_detections: dict[tuple, tuple[int, ...]] = {}
 
-    def dataset(self, name: str, length: int | None) -> Dataset:
+    def source(self, name: str, length: int | None) -> Source:
+        """The entry of ``(name, length)``, loading the dataset on a miss."""
         key = (name, length)
-        if key not in self._datasets:
+        entry = self._sources.get(key)
+        if entry is None:
             with obs_trace.span("data.load", dataset=name, length=length):
-                self._datasets[key] = load(name, length=length)
-        return self._datasets[key]
-
-    def split(self, name: str, length: int | None) -> Split:
-        key = (name, length)
-        if key not in self._splits:
-            self._splits[key] = split(self.dataset(name, length))
-        return self._splits[key]
+                entry = Source(load(name, length=length))
+            self._sources.put(key, entry)
+        return entry
 
     def features(self, values: np.ndarray, period: int) -> dict[str, float]:
         """All 42 characteristics of ``values``, memoized by the series'
@@ -110,35 +136,17 @@ class RuntimeContext:
 
     def raw_test_features(self, name: str, length: int | None
                           ) -> dict[str, float]:
-        """All 42 characteristics of the raw test split (memoized).
+        """All 42 characteristics of the raw test split.
 
-        Kept per ``(name, length)`` for the context's lifetime, outside
-        the bounded content memo, so evicting transformed series never
-        makes the raw split run the catalogue again.  The first call
-        goes through :meth:`features`, so a transformed series equal to
-        the raw split reuses this result.
+        Kept on the source entry, outside the bounded content memo, so
+        evicting transformed series never makes the raw split run the
+        catalogue again.  The first call goes through :meth:`features`,
+        so a transformed series equal to the raw split reuses this
+        result.
         """
-        key = (name, length)
-        if key not in self._raw_features:
-            raw = self.split(name, length).test.target_series.values
-            self._raw_features[key] = self.features(
-                raw, self.dataset(name, length).seasonal_period)
-        return self._raw_features[key]
-
-    def raw_detections(self, detector, model: str,
-                       model_kwargs: tuple[tuple[str, Any], ...],
-                       name: str, length: int | None) -> tuple[int, ...]:
-        """``detector``'s detections on the raw test split (memoized).
-
-        A detector is a pure function of its registered ``model`` name and
-        ``model_kwargs``, so every cell that scores it on one dataset
-        shares one ground truth.
-        """
-        key = (model, model_kwargs, name, length)
-        if key not in self._raw_detections:
-            raw = self.split(name, length).test.target_series.values
-            self._raw_detections[key] = tuple(detector.detect(raw))
-        return self._raw_detections[key]
+        source = self.source(name, length)
+        return source.derived("features", lambda: self.features(
+            source.series("test").values, source.dataset.seasonal_period))
 
 
 @dataclass(frozen=True)
@@ -191,11 +199,7 @@ class CompressJob(JobSpec):
     part: str = "test"
 
     def run(self, ctx: RuntimeContext, deps: dict[str, Any]):
-        if self.part == "full":
-            series = ctx.dataset(self.dataset, self.length).target_series
-        else:
-            parts = ctx.split(self.dataset, self.length)
-            series = getattr(parts, self.part).target_series
+        series = ctx.source(self.dataset, self.length).series(self.part)
         with obs_trace.span("compress.run", method=self.method,
                             error_bound=self.error_bound, part=self.part):
             return make_compressor(self.method).compress(series,
@@ -231,9 +235,9 @@ class TrainJob(JobSpec):
 
     def run(self, ctx: RuntimeContext, deps: dict[str, Any]) -> Forecaster:
         if self.train_on is None:
-            parts = ctx.split(self.dataset, self.length)
-            train = parts.train.target_series.values
-            validation = parts.validation.target_series.values
+            source = ctx.source(self.dataset, self.length)
+            train = source.series("train").values
+            validation = source.series("validation").values
         else:
             train_job, validation_job = self._split_jobs()
             train = deps[train_job.key()].decompressed.values
@@ -277,13 +281,13 @@ def test_windows(ctx: RuntimeContext, dataset: str, length: int | None,
     from the raw test split otherwise; targets are always raw (Algorithm 1
     scores predictions against the uncompressed future).
     """
-    parts = ctx.split(dataset, length)
-    raw_test = parts.test.target_series.values
+    source = ctx.source(dataset, length)
+    raw_test = source.series("test").values
     if input_values is None:
         input_values = raw_test
     inputs, targets = paired_windows(input_values, raw_test, input_length,
                                      horizon, stride)
-    test_start = len(parts.train) + len(parts.validation)
+    test_start = len(source.dataset) - len(raw_test)
     offsets = np.arange(0, len(raw_test) - input_length - horizon + 1, stride)
     positions = test_start + offsets.astype(np.float64)
     return inputs, targets, positions
@@ -367,5 +371,5 @@ class FeatureJob(JobSpec):
             ) -> dict[str, float]:
         original = ctx.raw_test_features(self.dataset, self.length)
         transformed = deps[self.transform_job().key()].decompressed.values
-        period = ctx.dataset(self.dataset, self.length).seasonal_period
+        period = ctx.source(self.dataset, self.length).dataset.seasonal_period
         return relative_difference(original, ctx.features(transformed, period))

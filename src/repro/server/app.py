@@ -174,6 +174,10 @@ class _HttpServer(ThreadingHTTPServer):
 #: sentinel payload: the route already wrote its own (streamed) response
 _STREAMED: Any = object()
 
+#: most bytes one body read asks for: a declared size is the client's
+#: word, so it never sizes an allocation
+_READ_PIECE = 1 << 16
+
 
 class ReproServer:
     """The daemon: one ApiService, two micro-batchers, async grid runs."""
@@ -472,7 +476,7 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
                     if left <= 0:
                         raise TimeoutError("request body deadline passed")
                     self.connection.settimeout(left)
-                    part = self.rfile.read1(remaining)
+                    part = self.rfile.read1(min(remaining, _READ_PIECE))
                     if not part:
                         break
                     parts.append(part)
@@ -625,7 +629,7 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
             # response: an unknown session is still a plain 404 payload
             sessions.status(session_id)
             self.close_connection = True
-            status = 200
+            status, envelope = 200, None
             try:
                 self.send_response(200)
                 self.send_header("Content-Type", "application/x-ndjson")
@@ -650,9 +654,15 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
                     obs_metrics.inc("server.stream.disconnects")
                 status = 499
             except ApiError as error:
-                status = error.status
+                status, envelope = error.status, error.envelope
+            except Exception as error:  # noqa: BLE001 — envelope it
+                status, envelope = 500, ErrorEnvelope(
+                    kind="internal", key=session_id, message=repr(error))
+            if envelope is not None:
+                # the 200 head is out: the body ends with one envelope
+                # line, never a second status line
                 with contextlib.suppress(OSError, ConnectionError):
-                    self._write_chunk(encode(error.envelope))
+                    self._write_chunk(encode(envelope))
                     self._write_chunk(None)
             return status, _STREAMED
 
@@ -695,7 +705,7 @@ def _make_handler(server: ReproServer) -> type[BaseHTTPRequestHandler]:
                             if trailer in (b"\r\n", b"\n", b""):
                                 break
                         break
-                    chunk = self.rfile.read(size)
+                    chunk = self._read_body(size)
                     if len(chunk) != size:
                         raise ConnectionError("EOF inside a chunk")
                     if self.rfile.read(2) != b"\r\n":

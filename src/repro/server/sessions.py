@@ -73,7 +73,7 @@ from repro.api.responses import (StreamOpenResponse, StreamPushResponse,
 from repro.compression.registry import STREAMING_METHODS
 from repro.compression.streaming import (STREAMING_ALGORITHMS,
                                          restore_compressor)
-from repro.core.cache import JOURNAL_FRAME, CorruptJournal
+from repro.core.cache import JOURNAL_FRAME, CorruptJournal, DiskCache
 from repro.forecasting.rolling import STREAM_MODELS, restore_forecaster
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
@@ -272,12 +272,10 @@ class SessionManager:
     """The server's session registry: admission, eviction, expiry.
 
     ``clock`` is injectable for tests; it must be a wall clock (restart-
-    surviving TTLs are part of the contract).  With ``cache=None`` there
-    is nowhere to snapshot to, so eviction is disabled and a restart
-    forgets all sessions — the cacheless single-process mode.
+    surviving TTLs are part of the contract).
     """
 
-    def __init__(self, cache=None, max_sessions: int = 256,
+    def __init__(self, cache: DiskCache, max_sessions: int = 256,
                  ttl_s: float = 3600.0, max_resident: int | None = None,
                  clock=time.time) -> None:
         self.cache = cache
@@ -394,8 +392,7 @@ class SessionManager:
         with self._lock:
             known = self._index.pop(session_id, None) is not None
             resident = self._sessions.pop(session_id, None) is not None
-            if self.cache is not None:
-                self.cache.remove(_cache_key(session_id))
+            self.cache.remove(_cache_key(session_id))
             self._note_gauges_locked()
         if known or resident:
             obs_metrics.inc(f"server.stream.{reason}")
@@ -478,13 +475,10 @@ class SessionManager:
         """Rebuild an evicted (or pre-restart) session from its snapshot
         and journal."""
         key = _cache_key(session_id)
-        snapshot = None
-        if self.cache is not None:
-            snapshot = self.cache.get(key)
+        snapshot = self.cache.get(key)
         if not isinstance(snapshot, dict):
-            if self.cache is not None:
-                # a journal without its snapshot can never be replayed
-                self.cache.remove_journal(key)
+            # a journal without its snapshot can never be replayed
+            self.cache.remove_journal(key)
             raise _not_found(session_id,
                              f"unknown stream session {session_id!r}")
         try:
@@ -524,8 +518,7 @@ class SessionManager:
         racing a discard (client vanished between chunks) must not
         resurrect the session by re-writing its state.
         """
-        if (self.cache is None or session.closed
-                or session.session_id not in self._index):
+        if session.closed or session.session_id not in self._index:
             return
         session.last_touch = self._clock()
         key = _cache_key(session.session_id)
@@ -551,8 +544,7 @@ class SessionManager:
                 continue  # pinned by a request; its checkin re-touches
             del self._index[sid]
             self._sessions.pop(sid, None)
-            if self.cache is not None:
-                self.cache.remove(_cache_key(sid))
+            self.cache.remove(_cache_key(sid))
             obs_metrics.inc("server.stream.expired")
             discarded += 1
         if discarded:
@@ -568,7 +560,7 @@ class SessionManager:
         Pinned sessions (in-flight requests) are skipped — at most one
         object per session id ever exists.
         """
-        if self.max_resident is None or self.cache is None:
+        if self.max_resident is None:
             return
         for sid in list(self._sessions):
             if len(self._sessions) <= self.max_resident:

@@ -13,9 +13,9 @@ The job rides the existing content-hashed task graph: its dependencies
 are the very same ``CompressJob(part="test")`` the forecasting cells use
 and the ``FeatureJob`` of that cell, so a grid compresses each (dataset,
 method, bound) cell exactly once and computes its characteristics once,
-however many detectors score it.  The ground truth is memoized per
-process too (:meth:`~repro.runtime.jobs.RuntimeContext.raw_detections`):
-each detector runs on a dataset's raw test split once, not once per cell.
+however many detectors score it.  The ground truth is memoized on the
+run context's :class:`~repro.runtime.jobs.Source` entry too: each
+detector runs on a dataset's raw test split once, not once per cell.
 
 Like :mod:`repro.runtime.jobs` this module is imported inside
 queue-backend worker processes when an ``AnomalyJob`` is unpickled, so
@@ -86,9 +86,12 @@ class AnomalyJob(JobSpec):
         with obs_trace.span("anomaly.detect", model=self.model,
                             dataset=self.dataset, method=self.method,
                             error_bound=self.error_bound):
-            truth = ctx.raw_detections(detector, self.model,
-                                       self.model_kwargs, self.dataset,
-                                       self.length)
+            # the ground truth: every cell scoring this detector on one
+            # source shares its detections on the raw test split
+            source = ctx.source(self.dataset, self.length)
+            truth = source.derived(
+                ("detections", self.model, self.model_kwargs),
+                lambda: tuple(detector.detect(source.series("test").values)))
             if transform is None:
                 detected = truth
             else:

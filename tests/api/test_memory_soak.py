@@ -2,13 +2,16 @@
 
 Every cold compress request puts its results into the service's cache.
 With a cache directory, the memory layer keeps only the most recent of
-them, within ``MEMORY_BYTES``; the files hold the rest.
+them, within ``MEMORY_BYTES``; the files hold the rest.  Every requested
+(dataset, length) loads a source into the run context, which keeps one
+per registered dataset, so new lengths replace old ones.
 """
 
 import tracemalloc
 
 from repro.api import ApiService, CompressRequest, CompressResponse
 from repro.core.config import EvaluationConfig
+from repro.datasets.registry import DATASET_NAMES
 
 #: cold requests before the heap is measured, and after it
 WARM_UP, SOAK = 100, 500
@@ -39,3 +42,33 @@ def test_cold_requests_leave_the_heap_flat(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert growth < 2 * 2**20, f"heap grew {growth / 2**20:.2f} MiB"
+
+
+def test_distinct_lengths_leave_the_heap_flat(tmp_path, monkeypatch):
+    import repro.core.cache as cache_module
+
+    # no cached value stays in memory: the heap holds only the sources
+    monkeypatch.setattr(cache_module, "MEMORY_BYTES", 1)
+    service = ApiService(EvaluationConfig(cache_dir=str(tmp_path)))
+
+    def compress(length):
+        request = CompressRequest("Wind", "PMC", 0.1, length=length)
+        response, = service.compress_batch([request])
+        assert isinstance(response, CompressResponse)
+
+    # first-call costs (imports, codec set-up) are paid untraced
+    compress(4_999)
+    capacity = len(DATASET_NAMES)
+    tracemalloc.start()
+    try:
+        for length in range(5_000, 5_000 + capacity):
+            compress(length)
+        before = tracemalloc.get_traced_memory()[0]
+        for length in range(5_000 + capacity, 5_000 + 3 * capacity):
+            compress(length)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # each length kept would add about 0.15 MiB (1.86 MiB over 12 new
+    # lengths when the run context kept every one)
+    assert growth < 0.5 * 2**20, f"heap grew {growth / 2**20:.2f} MiB"

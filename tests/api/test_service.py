@@ -53,6 +53,29 @@ def test_duplicate_requests_collapse_to_one_job(service):
     assert all(r == responses[0] for r in responses)
 
 
+def test_a_grid_over_every_dataset_loads_each_once(monkeypatch):
+    """The run context keeps one source per registered dataset, so a grid
+    over all of them at one length never loads a dataset twice."""
+    from repro.datasets.registry import DATASET_NAMES
+    from repro.runtime import jobs as jobs_module
+
+    loads = []
+    real = jobs_module.load
+
+    def counted(name, length=None):
+        loads.append(name)
+        return real(name, length=length)
+
+    monkeypatch.setattr(jobs_module, "load", counted)
+    service = ApiService(EvaluationConfig(dataset_length=1_500,
+                                          cache_dir=None))
+    records, _ = service.grid(GridRequest(
+        datasets=DATASET_NAMES, models=("Arima",), methods=("PMC",),
+        error_bounds=(0.1,), seeds=1))
+    assert len(records) == 2 * len(DATASET_NAMES)
+    assert sorted(loads) == sorted(DATASET_NAMES)
+
+
 def test_raw_size_is_computed_once_per_series_across_batches(
         service, monkeypatch):
     from repro.api import codec

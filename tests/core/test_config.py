@@ -39,8 +39,8 @@ def test_fast_preset_is_smaller():
 
 def test_with_overrides_replaces_fields_immutably():
     base = EvaluationConfig()
-    changed = base.with_overrides(dataset_length=99, metric="RMSE")
+    changed = base.with_overrides(dataset_length=99, horizon=12)
     assert changed.dataset_length == 99
-    assert changed.metric == "RMSE"
+    assert changed.horizon == 12
     assert base.dataset_length == 4_000  # original untouched
     assert changed.models == base.models

@@ -159,16 +159,17 @@ def test_compress_job_runs_against_context():
     ctx = RuntimeContext()
     job = CompressJob("ETTm1", 1_200, "PMC", 0.2)
     result = job.run(ctx, {})
-    test_split = ctx.split("ETTm1", 1_200).test.target_series
+    test_split = ctx.source("ETTm1", 1_200).series("test")
     assert len(result.decompressed) == len(test_split)
     assert result.method == "PMC"
 
 
 def test_runtime_context_memoizes_datasets():
     ctx = RuntimeContext()
-    assert ctx.dataset("ETTm1", 1_200) is ctx.dataset("ETTm1", 1_200)
-    assert ctx.split("ETTm1", 1_200) is ctx.split("ETTm1", 1_200)
-    assert ctx.dataset("ETTm1", 1_200) is not ctx.dataset("ETTm1", 1_300)
+    source = ctx.source("ETTm1", 1_200)
+    assert ctx.source("ETTm1", 1_200).dataset is source.dataset
+    assert ctx.source("ETTm1", 1_200).split is source.split
+    assert ctx.source("ETTm1", 1_300).dataset is not source.dataset
 
 
 def test_runtime_context_memoizes_characteristics_by_content(monkeypatch):
@@ -183,7 +184,7 @@ def test_runtime_context_memoizes_characteristics_by_content(monkeypatch):
 
     monkeypatch.setattr(jobs_module, "compute_all", counted)
     ctx = RuntimeContext()
-    raw = ctx.split("ETTm1", 1_200).test.target_series.values
+    raw = ctx.source("ETTm1", 1_200).series("test").values
     first = ctx.raw_test_features("ETTm1", 1_200)
     assert ctx.features(raw.copy(), 96) is first
     assert calls == [96]

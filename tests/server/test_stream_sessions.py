@@ -140,13 +140,6 @@ def test_eviction_mid_segment_is_byte_invisible():
     assert manager.live() == 0
 
 
-def test_eviction_disabled_without_cache():
-    manager = SessionManager(cache=None, max_resident=1)
-    _open(manager)
-    _open(manager)
-    assert manager.resident() == 2  # nowhere to snapshot: nothing evicted
-
-
 def test_restart_restores_from_disk(tmp_path):
     rng = np.random.default_rng(22)
     values = (20 + rng.normal(0, 1, 300).cumsum() * 0.1).tolist()

@@ -9,6 +9,10 @@
   one socket send.
 - An ``/ingest`` client that resets before the response starts has its
   session discarded at once, not left alive until its TTL.
+- An ``/ingest`` chunk size is never trusted as an allocation: a huge
+  size followed by a hang-up is a disconnect, with one status line on
+  the wire and the session discarded.  Any other failure once the 200
+  head is out ends the chunked body with one envelope line.
 - A ``Content-Length`` that is not a non-negative integer is refused with
   a ``validation`` envelope before any body byte is read.
 - A body that stops arriving is answered with a ``validation`` envelope
@@ -200,6 +204,42 @@ def test_ingest_client_gone_before_the_response_drops_its_session(
     assert excinfo.value.status == 404
     after = client.metricz()["counters"]["server.stream.disconnects"]
     assert after == before + 1
+
+
+def test_a_huge_ingest_chunk_size_is_a_disconnect_not_a_second_status(
+        server, client):
+    sid = _session(client)
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=10.0) as sock:
+        sock.sendall((f"POST /v1/stream/{sid}/ingest HTTP/1.1\r\n"
+                      "Host: 127.0.0.1\r\nConnection: close\r\n"
+                      "Transfer-Encoding: chunked\r\n\r\n").encode())
+        sock.sendall(b"fffffffffff\r\n[1.0, 2.0]\n")
+        sock.shutdown(socket.SHUT_WR)
+        raw = b""
+        while block := sock.recv(65536):
+            raw += block
+    assert raw.startswith(b"HTTP/1.1 200")
+    assert raw.count(b"HTTP/1.1 ") == 1, raw
+    with pytest.raises(ServerError) as excinfo:
+        client.stream_status(sid)
+    assert excinfo.value.status == 404
+
+
+def test_an_ingest_failure_after_the_head_is_one_envelope_line(
+        server, client, monkeypatch):
+    sid = _session(client)
+
+    def broken(session_id, values):
+        raise RuntimeError("push failed")
+
+    monkeypatch.setattr(server.sessions, "push", broken)
+    raw = _ingest(server.port, sid, b"[1.0, 2.0]\n")
+    assert raw.count(b"HTTP/1.1 ") == 1, raw
+    with pytest.raises(ServerError) as excinfo:
+        ReproClient._parse_ingest_response(raw)
+    assert excinfo.value.envelope.kind == "internal"
+    assert "push failed" in excinfo.value.envelope.message
 
 
 def _read_response(sock) -> tuple[int, dict]:
