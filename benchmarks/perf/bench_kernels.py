@@ -86,6 +86,7 @@ def bench_sz_blocks(values: np.ndarray, error_bound: float,
 def bench_huffman(values: np.ndarray, error_bound: float,
                   repeats: int) -> None:
     from repro import reference
+    from repro.compression.base import gunzip_bytes
     from repro.compression.sz import SZ
     from repro.datasets.timeseries import TimeSeries
     from repro.encoding import huffman
@@ -94,7 +95,8 @@ def bench_huffman(values: np.ndarray, error_bound: float,
     # a realistic symbol stream: what SZ actually entropy-codes
     result = SZ().compress(series, error_bound)
     symbols = np.asarray(
-        huffman.decode(_extract_huffman_stream(result.payload)),
+        huffman.decode(
+            _extract_huffman_stream(gunzip_bytes(result.compressed))),
         dtype=np.int64)
     encoded = huffman.encode(symbols)
     _row(f"Huffman encode     eps={error_bound:g}",

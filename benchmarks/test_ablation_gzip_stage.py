@@ -14,6 +14,7 @@ import numpy as np
 from conftest import print_header
 
 from repro.compression import make
+from repro.compression.base import gunzip_bytes
 from repro.datasets import load
 
 BOUNDS = (0.05, 0.2, 0.5)
@@ -27,8 +28,9 @@ def build_table():
             compressor = make(method)
             for eb in BOUNDS:
                 result = compressor.compress(series, eb)
-                out[(name, method, eb)] = (len(result.payload),
-                                           result.compressed_size)
+                out[(name, method, eb)] = (
+                    len(gunzip_bytes(result.compressed)),
+                    result.compressed_size)
     return out
 
 

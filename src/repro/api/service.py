@@ -55,8 +55,8 @@ from repro.metrics.errors import transformation_error
 from repro.metrics.pointwise import METRICS
 from repro.runtime.backends import make_backend
 from repro.runtime.graph import TaskGraph
-from repro.runtime.jobs import (CompressJob, FeatureJob, JobSpec, TrainJob,
-                                freeze_kwargs)
+from repro.runtime.jobs import (CompressJob, FeatureJob, JobSpec,
+                                RuntimeContext, TrainJob, freeze_kwargs)
 from repro.runtime.manifest import FailureRecord, RunManifest
 from repro.runtime.scheduler import Scheduler
 
@@ -206,21 +206,31 @@ class ApiService:
         Requests sharing a (dataset, method, bound, part, length)
         signature collapse to one job — the graph deduplicates by
         content-hash key — so coalesced server batches and full-grid
-        sweeps cost each distinct cell exactly once.
+        sweeps cost each distinct cell exactly once.  A batch naming more
+        (dataset, length) sources than the run context keeps is answered
+        a slice within that many at a time, while the slice's sources are
+        resident, so none is loaded twice.
         """
         jobs = [self.compress_job(request) for request in requests]
-        values = self.run_jobs(list(jobs))
-        envelopes = self._envelopes_by_key()
+        keys = [(job.dataset, job.length) for job in jobs]
+        sources = list(dict.fromkeys(keys))
+        if len(sources) > RuntimeContext.SOURCES:
+            cut = keys.index(sources[RuntimeContext.SOURCES])
+            return (self.compress_batch(requests[:cut])
+                    + self.compress_batch(requests[cut:]))
         out: list[CompressResponse | ErrorEnvelope] = []
-        for request, job in zip(requests, jobs):
-            result = values.get(job.key())
-            if result is None:
-                out.append(envelopes.get(job.key()) or ErrorEnvelope(
-                    kind=job.kind, key=job.key(),
-                    message="job produced no result",
-                    description=job.describe()))
-                continue
-            out.append(self._compress_response(request, job, result))
+        with self._lock:
+            values = self.run_jobs(jobs)
+            envelopes = self._envelopes_by_key()
+            for request, job in zip(requests, jobs):
+                result = values.get(job.key())
+                if result is None:
+                    out.append(envelopes.get(job.key()) or ErrorEnvelope(
+                        kind=job.kind, key=job.key(),
+                        message="job produced no result",
+                        description=job.describe()))
+                    continue
+                out.append(self._compress_response(request, job, result))
         return out
 
     def _compress_response(self, request: CompressRequest, job: CompressJob,

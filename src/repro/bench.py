@@ -165,13 +165,15 @@ def bench_method(method: str, series, error_bound: float,
     Raises ``RuntimeError`` if the two paths disagree on the payload —
     a speedup over a wrong answer is not a speedup.
     """
+    from repro.compression.base import gunzip_bytes
+
     kernel, scalar = _compressor_pair(method)
     kernel_result = kernel.compress(series, error_bound)
     scalar_result = scalar.compress(series, error_bound)
-    if kernel_result.payload != scalar_result.payload:
+    compressed = kernel_result.compressed
+    if compressed != scalar_result.compressed:
         raise RuntimeError(
             f"{method} kernel/scalar payload mismatch at eps={error_bound}")
-    compressed = kernel_result.compressed
     kernel_s = best_of(lambda: kernel.compress(series, error_bound), repeats)
     scalar_s = best_of(lambda: scalar.compress(series, error_bound), repeats)
     decompress_s = best_of(lambda: kernel.decompress(compressed), repeats)
@@ -181,7 +183,7 @@ def bench_method(method: str, series, error_bound: float,
         "scalar_compress_ms": round(scalar_s * 1e3, 3),
         "compress_speedup": round(scalar_s / kernel_s, 2),
         "decompress_ms": round(decompress_s * 1e3, 3),
-        "payload_bytes": len(kernel_result.payload),
+        "payload_bytes": len(gunzip_bytes(compressed)),
         "compressed_bytes": kernel_result.compressed_size,
         "num_segments": kernel_result.num_segments,
         "payloads_identical": True,
@@ -439,8 +441,7 @@ def bench_cache(config: ForecastingBenchConfig) -> dict:
 
     rng = np.random.default_rng(0)
     series = TimeSeries(rng.standard_normal(config.cache_length))
-    value = CompressionResult("BENCH", 0.1, series, series,
-                              b"\x00" * 4096, b"\x00" * 2048, 1)
+    value = CompressionResult("BENCH", 0.1, series, b"\x00" * 2048, 1)
     with tempfile.TemporaryDirectory() as directory:
         cache = DiskCache(directory)
         put_s = best_of(lambda: cache.put("bench", value), config.repeats)
@@ -453,7 +454,7 @@ def bench_cache(config: ForecastingBenchConfig) -> dict:
         memory_s = best_of(lambda: cache.get("bench"), config.repeats)
         # the zero-copy contract: array payloads come back as views over
         # the file mapping, not as deserialized copies
-        base = loaded.original.values
+        base = loaded.decompressed.values
         while isinstance(base, np.ndarray) and base.base is not None:
             base = base.base
         zero_copy = not isinstance(base, np.ndarray)

@@ -42,7 +42,7 @@ def record_result(result: "CompressionResult") -> "CompressionResult":
 
     if not metrics.enabled():
         return result
-    bytes_in = 8 * len(result.original)
+    bytes_in = 8 * len(result.decompressed)
     metrics.inc(f"compress.{result.method}.calls")
     metrics.inc("compress.bytes_in", bytes_in)
     metrics.inc("compress.bytes_out", result.compressed_size)
@@ -54,13 +54,12 @@ def record_result(result: "CompressionResult") -> "CompressionResult":
 
 @dataclass(frozen=True)
 class CompressionResult:
-    """Everything the evaluation needs to know about one compression run."""
+    """What one compression run produced; the pre-gzip bytes are
+    ``gunzip_bytes(compressed)`` (Gorilla's ``compressed`` is them)."""
 
     method: str
     error_bound: float
-    original: TimeSeries
     decompressed: TimeSeries
-    payload: bytes  # serialized representation before gzip
     compressed: bytes  # the final .gz bytes whose length defines the size
     num_segments: int
 

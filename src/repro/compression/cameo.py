@@ -78,16 +78,13 @@ class Cameo(Compressor):
         self._check_inputs(series, error_bound)
         lengths, slopes, intercepts = self._segments(series.values,
                                                      error_bound)
-        payload = self._serialize(series, lengths, slopes, intercepts)
-        compressed = gzip_bytes(payload)
         return record_result(CompressionResult(
             method=self.name,
             error_bound=error_bound,
-            original=series,
             decompressed=self._reconstruct_series(series, lengths, slopes,
                                                   intercepts),
-            payload=payload,
-            compressed=compressed,
+            compressed=gzip_bytes(self._serialize(
+                series, lengths, slopes, intercepts)),
             num_segments=len(lengths),
         ))
 

@@ -76,16 +76,14 @@ class Gorilla(Compressor):
                 writer.write_bits(meaningful & 0x3F, 6)
                 writer.write_bits(xor >> trailing, meaningful)
 
-        payload = (timestamps.encode_header(series.start, series.interval)
-                   + _COUNT.pack(len(values)) + writer.to_bytes())
         # Gorilla is already a binary encoding; the paper does not add gzip.
+        compressed = (timestamps.encode_header(series.start, series.interval)
+                      + _COUNT.pack(len(values)) + writer.to_bytes())
         return record_result(CompressionResult(
             method=self.name,
             error_bound=0.0,
-            original=series,
-            decompressed=self.decompress(payload),
-            payload=payload,
-            compressed=payload,
+            decompressed=self.decompress(compressed),
+            compressed=compressed,
             num_segments=1,
         ))
 

@@ -265,8 +265,8 @@ class LFZip(Compressor):
                          else np.empty(0))
         all_outliers = [o for part in outlier_parts for o in part]
 
-        payload = self._serialize(series, n, steps, all_symbols, all_outliers)
-        compressed = gzip_bytes(payload)
+        compressed = gzip_bytes(
+            self._serialize(series, n, steps, all_symbols, all_outliers))
         decompressed = TimeSeries(reconstructed, start=series.start,
                                   interval=series.interval,
                                   name="decompressed")
@@ -274,9 +274,7 @@ class LFZip(Compressor):
         return record_result(CompressionResult(
             method=self.name,
             error_bound=error_bound,
-            original=series,
             decompressed=decompressed,
-            payload=payload,
             compressed=compressed,
             num_segments=changes,
         ))

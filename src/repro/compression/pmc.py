@@ -60,15 +60,11 @@ class PMC(Compressor):
         self._check_inputs(series, error_bound)
         lengths, means = self._segments(series.values, error_bound)
 
-        payload = self._serialize(series, lengths, means)
-        compressed = gzip_bytes(payload)
         return record_result(CompressionResult(
             method=self.name,
             error_bound=error_bound,
-            original=series,
             decompressed=self._reconstruct_series(series, lengths, means),
-            payload=payload,
-            compressed=compressed,
+            compressed=gzip_bytes(self._serialize(series, lengths, means)),
             num_segments=len(lengths),
         ))
 

@@ -78,14 +78,11 @@ class PPA(Compressor):
             segments.append((length, degree, coefficients))
             start += length
 
-        payload = self._serialize(series, segments)
-        compressed = gzip_bytes(payload)
+        compressed = gzip_bytes(self._serialize(series, segments))
         return record_result(CompressionResult(
             method=self.name,
             error_bound=error_bound,
-            original=series,
             decompressed=self.decompress(compressed),
-            payload=payload,
             compressed=compressed,
             num_segments=len(segments),
         ))

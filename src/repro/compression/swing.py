@@ -70,16 +70,13 @@ class Swing(Compressor):
         lengths, slopes, intercepts = self._segments(series.values,
                                                      error_bound)
 
-        payload = self._serialize(series, lengths, slopes, intercepts)
-        compressed = gzip_bytes(payload)
         return record_result(CompressionResult(
             method=self.name,
             error_bound=error_bound,
-            original=series,
             decompressed=self._reconstruct_series(series, lengths, slopes,
                                                   intercepts),
-            payload=payload,
-            compressed=compressed,
+            compressed=gzip_bytes(self._serialize(
+                series, lengths, slopes, intercepts)),
             num_segments=len(lengths),
         ))
 

@@ -211,9 +211,8 @@ class SZ(Compressor):
                          else np.empty(0))
         all_outliers = [o for part in outlier_parts for o in part]
 
-        payload = self._serialize(series, n, block_meta, all_symbols,
-                                  all_outliers)
-        compressed = gzip_bytes(payload)
+        compressed = gzip_bytes(self._serialize(series, n, block_meta,
+                                                all_symbols, all_outliers))
         # The encoder's lattice reconstruction is bit-identical to a decode
         # of the payload (asserted by the equivalence suite), so the
         # round trip through ``decompress`` is skipped.
@@ -227,9 +226,7 @@ class SZ(Compressor):
         return record_result(CompressionResult(
             method=self.name,
             error_bound=error_bound,
-            original=series,
             decompressed=decompressed,
-            payload=payload,
             compressed=compressed,
             num_segments=changes,
         ))

@@ -47,10 +47,11 @@ MISSING = object()
 
 #: exceptions a corrupt or stale entry raises on load.  A wrong magic, an
 #: unknown version or tag, or a truncated file raise ``ValueError``; an
-#: unknown dataclass name ``KeyError``.  A garbage pickled column (a
-#: trained model) raises ``UnpicklingError``/``EOFError``/``ValueError``/
-#: ``IndexError``, a stale one ``AttributeError``/``ImportError``/
-#: ``KeyError`` (renamed classes, removed modules).
+#: unknown dataclass name ``KeyError``, stale dataclass fields or an unknown
+#: dtype ``TypeError``.  A garbage pickled column (a trained model) raises
+#: ``UnpicklingError``/``EOFError``/``ValueError``/``IndexError``, a stale
+#: one ``AttributeError``/``ImportError``/``KeyError`` (renamed classes,
+#: removed modules).
 CORRUPT_ENTRY_ERRORS = (
     pickle.UnpicklingError,
     EOFError,
@@ -59,6 +60,7 @@ CORRUPT_ENTRY_ERRORS = (
     IndexError,
     ImportError,
     KeyError,
+    TypeError,
 )
 
 

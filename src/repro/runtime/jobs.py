@@ -110,12 +110,14 @@ class RuntimeContext:
     distinct series.
     """
 
+    #: (dataset, length) sources kept: one length per registered dataset
+    SOURCES = len(DATASET_NAMES)
     #: distinct series whose characteristics are kept (least recently
     #: used dropped first); a 64-cell grid has at most 16 test splits
     FEATURE_MEMO_SIZE = 64
 
     def __init__(self) -> None:
-        self._sources = LRU(len(DATASET_NAMES))
+        self._sources = LRU(self.SOURCES)
         self._features = ContentMemo(self.FEATURE_MEMO_SIZE)
 
     def source(self, name: str, length: int | None) -> Source:

@@ -72,3 +72,36 @@ def test_distinct_lengths_leave_the_heap_flat(tmp_path, monkeypatch):
     # each length kept would add about 0.15 MiB (1.86 MiB over 12 new
     # lengths when the run context kept every one)
     assert growth < 0.5 * 2**20, f"heap grew {growth / 2**20:.2f} MiB"
+
+
+def test_a_cached_compress_value_holds_what_it_is_charged(tmp_path):
+    """The memory layer charges each value the bytes of its disk entry,
+    so the heap a cold request leaves behind is what the layer counts:
+    a value keeps no view into a source the table has since dropped."""
+    service = ApiService(EvaluationConfig(cache_dir=str(tmp_path)))
+    memory = service.cache._memory
+
+    def compress(length):
+        request = CompressRequest("Wind", "PMC", 0.1, part="validation",
+                                  length=length)
+        response, = service.compress_batch([request])
+        assert isinstance(response, CompressResponse)
+
+    compress(19_999)
+    capacity = len(DATASET_NAMES)
+    tracemalloc.start()
+    try:
+        for length in range(20_000, 20_000 + capacity):
+            compress(length)
+        heap, charged = tracemalloc.get_traced_memory()[0], memory.weight
+        for length in range(20_000 + capacity, 20_000 + 3 * capacity):
+            compress(length)
+        heap = tracemalloc.get_traced_memory()[0] - heap
+        charged = memory.weight - charged
+    finally:
+        tracemalloc.stop()
+    assert charged > 0
+    # 4.6x when each value kept its source's column alive
+    assert heap <= 1.25 * charged, (
+        f"heap grew {heap / 1024:.1f} KiB for {charged / 1024:.1f} KiB "
+        "charged")

@@ -76,6 +76,29 @@ def test_a_grid_over_every_dataset_loads_each_once(monkeypatch):
     assert sorted(loads) == sorted(DATASET_NAMES)
 
 
+def test_a_batch_past_the_source_table_loads_each_source_once(monkeypatch):
+    """A batch naming more (dataset, length) sources than the run context
+    keeps answers each while it is resident, so none loads twice."""
+    from repro.runtime import jobs as jobs_module
+
+    loads = []
+    real = jobs_module.load
+
+    def counted(name, length=None):
+        loads.append(length)
+        return real(name, length=length)
+
+    monkeypatch.setattr(jobs_module, "load", counted)
+    service = ApiService(EvaluationConfig(cache_dir=None))
+    requests = [CompressRequest("Wind", "PMC", 0.1, length=length)
+                for length in range(1_000, 1_007)]
+    responses = service.compress_batch(requests)
+    assert all(isinstance(r, CompressResponse) for r in responses)
+    assert sorted(loads) == list(range(1_000, 1_007))
+    single = ApiService(EvaluationConfig(cache_dir=None))
+    assert responses == [single.compress_batch([r])[0] for r in requests]
+
+
 def test_raw_size_is_computed_once_per_series_across_batches(
         service, monkeypatch):
     from repro.api import codec

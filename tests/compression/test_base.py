@@ -40,7 +40,8 @@ def test_compression_result_size_property():
     result = PMC().compress(series, 0.1)
     assert result.compressed_size == len(result.compressed)
     assert isinstance(result, CompressionResult)
-    assert result.original is series
+    assert len(result.decompressed) == len(series)
+    assert result.decompressed.start == series.start
 
 
 def test_lossy_rejects_negative_bound_via_base():

@@ -5,7 +5,7 @@ import gzip
 import numpy as np
 import pytest
 
-from repro.compression import PMC, SZ, Gorilla, Swing, gzip_bytes
+from repro.compression import PMC, SZ, Gorilla, Swing, gunzip_bytes, gzip_bytes
 from repro.datasets import TimeSeries
 
 
@@ -31,7 +31,7 @@ def test_non_gzip_garbage_raises(compressor_cls):
 def test_truncated_payload_inside_valid_gzip_raises():
     compressor = PMC()
     result = compressor.compress(sample_series(), 0.1)
-    truncated = gzip_bytes(result.payload[:10])
+    truncated = gzip_bytes(gunzip_bytes(result.compressed)[:10])
     with pytest.raises((ValueError, IndexError, Exception)):
         series = compressor.decompress(truncated)
         # PMC may decode a shorter series from a truncated stream; that must

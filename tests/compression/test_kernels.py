@@ -39,7 +39,7 @@ def assert_paths_agree(compressor_class, series, error_bound):
     kernel = compressor_class().compress(series, error_bound)
     scalar = reference.make_compressor(compressor_class.name).compress(
         series, error_bound)
-    assert kernel.payload == scalar.payload
+    assert kernel.compressed == scalar.compressed
     assert kernel.num_segments == scalar.num_segments
     assert np.array_equal(kernel.decompressed.values,
                           scalar.decompressed.values)

@@ -89,11 +89,12 @@ def test_round_trip_through_bytes():
 @pytest.mark.parametrize("bit", [0, 20, 31])
 def test_corrupt_count_header_is_refused_before_allocating(bit):
     from repro.compression import timestamps
-    from repro.compression.base import gzip_bytes
+    from repro.compression.base import gunzip_bytes, gzip_bytes
 
     rng = np.random.default_rng(2)
     series = series_of(400 + rng.normal(0, 5, 700), interval=600)
-    payload = bytearray(LFZip().compress(series, 0.05).payload)
+    payload = bytearray(
+        gunzip_bytes(LFZip().compress(series, 0.05).compressed))
     # the value count follows the timestamp header; unchecked, a flipped
     # high bit sized a multi-GiB array before anything was decoded
     offset = len(timestamps.encode_header(series.start, series.interval))

@@ -199,8 +199,7 @@ def _result_value(length=512):
 
     series = TimeSeries(np.arange(length, dtype=np.float64), start=7,
                         interval=30, name="col")
-    return CompressionResult("PMC", 0.1, series, series, b"payload",
-                             b"gzipped", 3)
+    return CompressionResult("PMC", 0.1, series, b"gzipped", 3)
 
 
 def _mmap_backed(array):
@@ -224,16 +223,16 @@ def test_array_payloads_served_without_pickle(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_module.pickle, "loads", poisoned)
     value = DiskCache(str(tmp_path)).get("k")
     assert value.method == "PMC"
-    assert value.payload == b"payload" and value.compressed == b"gzipped"
-    assert value.original.start == 7 and value.original.name == "col"
-    assert value.original.values[5] == 5.0
+    assert value.compressed == b"gzipped"
+    assert value.decompressed.start == 7 and value.decompressed.name == "col"
+    assert value.decompressed.values[5] == 5.0
 
 
 def test_cached_arrays_are_memmap_views(tmp_path):
     DiskCache(str(tmp_path)).put("k", _result_value())
     value = DiskCache(str(tmp_path)).get("k")
-    assert _mmap_backed(value.original.values)
-    assert not value.original.values.flags.writeable
+    assert _mmap_backed(value.decompressed.values)
+    assert not value.decompressed.values.flags.writeable
     assert np.array_equal(value.decompressed.values,
                           np.arange(512, dtype=np.float64))
 
@@ -293,6 +292,77 @@ def test_unknown_format_version_recomputed(tmp_path):
     assert DiskCache(str(tmp_path)).get("k") == "recomputed"
 
 
+def _put_pre_change_entry(cache, key, series):
+    """Write ``key`` as a compress entry carrying the field set a
+    CompressionResult had before ``original`` and ``payload`` went."""
+    import dataclasses
+
+    import repro.core.cache as cache_module
+
+    @dataclasses.dataclass(frozen=True)
+    class CompressionResult:
+        method: str
+        error_bound: float
+        original: object
+        decompressed: object
+        payload: bytes
+        compressed: bytes
+        num_segments: int
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(cache_module._ADAPTED, "CompressionResult",
+                      CompressionResult)
+        cache.put(key, CompressionResult("PMC", 0.1, series, series,
+                                         b"payload", b"gzipped", 3))
+
+
+def test_entry_with_stale_fields_is_revoked_not_raised(tmp_path):
+    """A dataclass node whose fields its class no longer has is a stale
+    entry: revoked and recomputed, not a ``TypeError`` out of get."""
+    _put_pre_change_entry(DiskCache(str(tmp_path)), "k",
+                          _result_value().decompressed)
+    cache = DiskCache(str(tmp_path))
+    assert cache.get("k", MISSING) is MISSING
+    assert not os.path.exists(cache._path("k"))
+    cache.put("k", _result_value())
+    assert DiskCache(str(tmp_path)).get("k").num_segments == 3
+
+
+def test_entry_with_unknown_dtype_is_revoked_not_raised(tmp_path):
+    cache = DiskCache(str(tmp_path))
+    cache.put("k", _result_value())
+    with open(cache._path("k"), "rb") as handle:
+        data = handle.read()
+    assert data.count(b'"<f8"') == 1
+    with open(cache._path("k"), "wb") as handle:
+        handle.write(data.replace(b'"<f8"', b'"zz8"'))
+    assert DiskCache(str(tmp_path)).get("k", MISSING) is MISSING
+
+
+def test_scheduler_recomputes_a_compress_entry_with_stale_fields(tmp_path):
+    """A compress entry written before ``original`` and ``payload`` left
+    CompressionResult executes again instead of failing the run."""
+    import dataclasses
+
+    from repro.runtime.graph import TaskGraph
+    from repro.runtime.jobs import CompressJob
+    from repro.runtime.scheduler import Scheduler
+
+    job = CompressJob("ETTm1", 600, "PMC", 0.1)
+    _put_pre_change_entry(DiskCache(str(tmp_path)), job.key(),
+                          _result_value(600).decompressed)
+    scheduler = Scheduler(DiskCache(str(tmp_path)))
+    graph = TaskGraph()
+    graph.add(job)
+    value = scheduler.run(graph)[job.key()]
+    assert scheduler.last_manifest.executed == 1
+    assert [f.name for f in dataclasses.fields(value)] == [
+        "method", "error_bound", "decompressed", "compressed",
+        "num_segments"]
+    reread = DiskCache(str(tmp_path)).get(job.key())
+    assert reread.compressed == value.compressed
+
+
 def test_truncated_columnar_entry_recomputed(tmp_path):
     cache = DiskCache(str(tmp_path))
     cache.put("k", _result_value())
@@ -345,8 +415,8 @@ def test_bytes_read_metric_counts_disk_reads(tmp_path):
 def _mmap_reader_worker(directory, queue):
     cache = DiskCache(directory)
     value = cache.get("shared")
-    queue.put((_mmap_backed(value.original.values),
-               float(value.original.values.sum())))
+    queue.put((_mmap_backed(value.decompressed.values),
+               float(value.decompressed.values.sum())))
 
 
 def test_cross_process_reads_are_memmap_backed(tmp_path):
@@ -414,5 +484,5 @@ def test_disk_hits_leave_no_descriptor_open(tmp_path):
     fresh = DiskCache(str(tmp_path))
     before = _open_fds()
     for n in range(120):
-        assert fresh.get(f"k{n}").original.values[3] == 3.0
+        assert fresh.get(f"k{n}").decompressed.values[3] == 3.0
     assert _open_fds() == before
