@@ -5,9 +5,10 @@ speedup ratios are diluted by the shared gzip/serialization stages (both
 paths pay them identically).  This harness isolates the layers the
 kernels actually replaced:
 
-- PMC / Swing segmentation (``kernels.pmc_chase`` / ``kernels.swing_chase``
-  vs the per-point loops of ``repro.reference``) without serialization or
-  gzip,
+- PMC / Swing / CAMEO segmentation (``kernels.pmc_chase`` /
+  ``swing_chase`` / ``cameo_chase`` vs the per-point loops of
+  ``repro.reference``) without serialization or gzip; CAMEO's segments
+  are asserted equal to its reference's,
 - the SZ block codec (``sz._encode_block_kernel`` vs
   ``reference.sz_encode_block`` over every block and predictor),
 - Huffman pack/unpack (``huffman.encode``/``decode`` vs
@@ -42,7 +43,8 @@ def _row(label: str, kernel_s: float, scalar_s: float) -> None:
 def bench_segmentation(values: np.ndarray, error_bound: float,
                        repeats: int) -> None:
     from repro import reference
-    from repro.compression import kernels, timestamps
+    from repro.compression import Cameo, kernels, timestamps
+    from repro.compression.cameo import ACF_WEIGHT
 
     max_length = timestamps.MAX_SEGMENT_LENGTH
     _row(f"PMC segmentation   eps={error_bound:g}",
@@ -56,6 +58,15 @@ def bench_segmentation(values: np.ndarray, error_bound: float,
          best_of(lambda: kernels.swing_chase(values, error_bound, max_length),
                  repeats),
          best_of(lambda: swing._segments(values, error_bound), repeats))
+    cameo = reference.ReferenceCameo()
+    for kernel_part, scalar_part in zip(
+            Cameo()._segments(values, error_bound),
+            cameo._segments(values, error_bound)):
+        assert np.array_equal(kernel_part, scalar_part), "CAMEO segments"
+    _row(f"CAMEO segmentation eps={error_bound:g}",
+         best_of(lambda: kernels.cameo_chase(values, error_bound, ACF_WEIGHT,
+                                             max_length), repeats),
+         best_of(lambda: cameo._segments(values, error_bound), repeats))
 
 
 def bench_sz_blocks(values: np.ndarray, error_bound: float,

@@ -2,13 +2,15 @@
 
 from repro.compression.base import (CompressionResult, Compressor,
                                     check_error_bound, gzip_bytes, gunzip_bytes)
-from repro.compression.cameo import Cameo
-from repro.compression.gorilla import Gorilla
-from repro.compression.lfzip import LFZip
-from repro.compression.ppa import PPA
+# Import order is registration order, which orders the registry's derived
+# tuples; Swing registers before its subclass CAMEO.
 from repro.compression.pmc import PMC
 from repro.compression.swing import Swing
 from repro.compression.sz import SZ
+from repro.compression.cameo import Cameo
+from repro.compression.lfzip import LFZip
+from repro.compression.ppa import PPA
+from repro.compression.gorilla import Gorilla
 from repro.compression.registry import (GRID_METHODS, LOSSY_METHODS,
                                         PAPER_ERROR_BOUNDS,
                                         STREAMING_METHODS, make)

@@ -23,31 +23,39 @@ that one segment and the chase resumes on ``E`` — none of the sweep's
 work is discarded.  Total work is ``O(n * mean_segment_length)``
 elementary C operations.
 
-**Chunked scans** (long-segment regime, and the streaming encoders in
-``repro.compression.streaming``) walk segment-at-a-time: cumulative
+**Chunked scans** (long-segment regime) walk segment-at-a-time: cumulative
 min/max bound envelopes over a lookahead chunk, first violation by
 ``argmax``, a handful of numpy calls per segment regardless of its length.
+Each filter has one scan (``pmc_scan``, ``swing_scan``), shared by the batch
+chase and the streaming encoders' ``extend``
+(``repro.compression.streaming``).  It starts from an explicit open window:
+a fresh one at a position, or one carried in from an earlier ``extend``,
+whose start is virtual and negative.  Scans record only where windows start;
+``pmc_windows``/``swing_windows`` then rebuild every window's bounds in one
+vectorized pass, folding a carried window's earlier bounds into its own.
 
 Sweep work scales with the mean segment length and scan work with the
-segment *count*, so each batch chase first scans a short prefix with the
-chunked kernel (keeping those segments — the probe is never wasted work),
-estimates the mean segment length, and only runs the dense sweep when
-segments are short (``DENSE_MEANLEN_MAX``).  Real series close windows in
-clusters around the typical drift length rather than geometrically, so
-open-fraction checkpoints inside the sweep are kept only as a loose
-backstop against unrepresentative prefixes.
+segment *count*, so the batch chase (one loop, ``_chase``, for both
+filters) first scans a short prefix with the chunked kernel (keeping those
+segments — the probe is never wasted work), estimates the mean segment
+length, and only runs the dense sweep when segments are short
+(``DENSE_MEANLEN_MAX``).  Real series close windows in clusters around the
+typical drift length rather than geometrically, so open-fraction
+checkpoints inside the sweep are kept only as a loose backstop against
+unrepresentative prefixes.
 
 Per-round segment-bound bookkeeping is deliberately absent from the
-sweeps: after the chase recovers the actual segment starts, the
+sweeps and scans: once the window starts are known, the
 admissible-mean bounds / slope cones of just those segments are recomputed
 in one vectorized pass (``np.maximum.reduceat`` over the same per-point
 quantities the scalar loop folds — min/max are associative, so the values
 are bitwise identical).
 
-Exactness: running sums are a strict left fold (``np.cumsum`` — and the
-streaming scan's cumsum seeded with the carried total — perform the exact
-same float64 additions, in the same order, as ``total += value``), so PMC
-means are anchored to one global prefix-sum fold shared by every path.
+Exactness: running sums are a strict left fold (``prefix_sums``'s cumsum,
+seeded with 0 on the batch path and with the carried total on the
+streaming path, performs the exact same float64 additions, in the same
+order, as ``total += value``), so PMC means are anchored to one global
+prefix-sum fold shared by every path.
 The PMC close predicate compares window *sums* against count-scaled bounds
 (``sum < lo * count``) rather than dividing — one multiply per candidate
 instead of a divide — and the scalar batch loop and streaming encoder use
@@ -117,65 +125,140 @@ GATHER_MIN_SURVIVORS = 64
 OPEN = -1
 
 
-def prefix_sums(values: np.ndarray) -> np.ndarray:
-    """Global left-fold prefix sums ``S`` with ``S[0] = 0``.
+def prefix_sums(values: np.ndarray, seed: float = 0.0) -> np.ndarray:
+    """Left-fold prefix sums ``S`` with ``S[0] = seed``.
 
     ``S[i]`` equals the float64 value of ``total`` after sequentially adding
-    the first ``i`` values, so window sums anchored to ``S`` are identical
-    on the batch and streaming paths.
+    the first ``i`` values to ``seed``, so window sums anchored to ``S`` are
+    identical on the batch path (``seed`` 0) and the streaming path (``seed``
+    the running total carried in).
     """
     sums = np.empty(len(values) + 1)
-    sums[0] = 0.0
+    sums[0] = seed
     sums[1:] = values
-    # accumulate over the 0.0 seed so even the first element goes through a
+    # accumulate over the seed so even the first element goes through a
     # real addition: cumsum on the values alone would *copy* element 0, and
     # a copied -0.0 differs bitwise from the scalar fold's 0.0 + -0.0 == +0.0
     np.cumsum(sums, out=sums)
     return sums
 
 
+def point_bounds(values: np.ndarray, error_bound: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point admissible interval ``v -+ eps * |v|`` (Definition 4)."""
+    allowed = error_bound * np.abs(values)
+    return values - allowed, values + allowed
+
+
+def _seed_first(seg_lo: np.ndarray, seg_hi: np.ndarray, span: int,
+                lo: float, hi: float) -> None:
+    """Fold a carried window's earlier bounds into its (first) entry.
+
+    ``span`` is how many of the window's points lie in the arrays; with
+    none, ``reduceat`` returned a stray point and the carried bounds are
+    the whole fold.
+    """
+    if span == 0:
+        seg_lo[0], seg_hi[0] = lo, hi
+    else:
+        np.maximum(seg_lo[:1], lo, out=seg_lo[:1])
+        np.minimum(seg_hi[:1], hi, out=seg_hi[:1])
+
+
+def _chase(kind: str, scan, sweep, n: int, meanlen_max: float) -> list[int]:
+    """Batch segmentation shared by PMC and Swing; returns window starts.
+
+    ``scan(starts, stop_segments)`` runs the filter's chunked scan from a
+    fresh window at ``starts[-1]``; ``sweep(offset)`` its dense sweep over
+    ``[offset, n)``.  The scan probes a prefix first, keeping its segments;
+    the sampled mean segment length then picks the regime.  On the dense
+    path the chase follows the sweep's chain, and a window the sweep left
+    ``OPEN`` is closed by one single-segment scan.
+    """
+    starts = [0]
+    position = scan(starts, SAMPLE_SEGMENTS)
+    if position >= n:
+        # the sampling probe consumed the whole series; no dispatch needed
+        _metric_inc(f"kernel.{kind}.probe_only")
+        return starts
+    dense = position <= meanlen_max * max(1, len(starts) - 1)
+    _metric_inc(f"kernel.{kind}.dense" if dense else f"kernel.{kind}.chunked")
+    if not dense:
+        scan(starts, 0)
+        return starts
+    offset = position
+    rel_n = n - offset
+    chain = sweep(offset).tolist()
+    append = starts.append
+    while position < n:
+        end = chain[position - offset]
+        if end == OPEN:
+            # The sweep left this window unresolved (longer than
+            # DENSE_ROUNDS); close just this one segment with the chunked
+            # scan, then resume following the chain.
+            position = scan(starts, 1)
+        elif end == rel_n:
+            break  # final window runs to the end of the array
+        else:
+            position = offset + end
+            append(position)
+    return starts
+
+
 # ---------------------------------------------------------------------------
 # PMC-Mean
 # ---------------------------------------------------------------------------
 
-def _pmc_scan_batch(point_lo: np.ndarray, point_hi: np.ndarray,
-                    sums: np.ndarray, counts: np.ndarray, start: int, n: int,
-                    max_length: int, closes: list[int],
-                    stop_segments: int = 0) -> int:
-    """Chunked PMC scan over ``[start, n)``, appending close boundaries.
+def pmc_scan(point_lo: np.ndarray, point_hi: np.ndarray, sums: np.ndarray,
+             max_length: int, starts: list[int],
+             window: tuple[float, float, float] | None = None,
+             stop_segments: int = 0) -> int:
+    """Chunked PMC-Mean scan from the window open at ``starts[-1]``.
 
-    A fresh window opens at ``start``.  Interior segment boundaries are
-    appended to ``closes`` (the final open window ``[last, n)`` is left
-    implicit).  With ``stop_segments`` the scan pauses after that many
-    closes — or once ``SAMPLE_POINTS`` are consumed — and returns the
-    boundary it stopped at (a fresh-window position, so scanning can
-    resume there); otherwise returns ``n``.
+    ``sums`` are the prefix sums of the points (``sums[i]`` folds every
+    point before ``i``).  With ``window=None`` a fresh window opens at
+    ``starts[-1]``.  Otherwise ``window`` is ``(base, lo, hi)``, a window
+    carried in from points before index 0: ``starts[-1]`` is its virtual,
+    negative start (``-count``), ``base`` the prefix sum there and
+    ``lo``/``hi`` the admissible-mean bounds of its points so far.
 
-    Like the scalar loop, the window's own first point is absorbed into
-    the carried bounds without a predicate check: ``S[i+1] - S[i]`` is not
-    exactly ``values[i]`` in float64, so evaluating count == 1 could close
-    a window on its opening point — something the reference never does.
+    Each close appends the violator's index (the next window's start) to
+    ``starts``; the window still open at the end is left implicit.  With
+    ``stop_segments`` the scan pauses after that many closes (or once
+    ``SAMPLE_POINTS`` are consumed) and returns the start it stopped at;
+    otherwise it returns ``len(point_lo)``.
+
+    Like the scalar loop, a window's first point is absorbed into the
+    bounds without a predicate check: ``S[i+1] - S[i]`` is not exactly
+    ``values[i]`` in float64, so evaluating count == 1 could close a window
+    on its opening point, something the reference never does.
     """
-    window_start = start
-    lo = float(point_lo[start])
-    hi = float(point_hi[start])
-    position = start + 1
+    n = len(point_lo)
+    window_start = start = starts[-1]
+    if window is None:
+        base = float(sums[start])
+        lo = float(point_lo[start])
+        hi = float(point_hi[start])
+    else:
+        base, lo, hi = window
+    position = max(start + 1, 0)
     chunk = MIN_CHUNK
-    stop_after = len(closes) + stop_segments
+    stop_after = len(starts) + stop_segments
     while position < n:
         end = min(position + chunk, window_start + max_length, n)
         if end <= position:
-            # the window already holds max_length points (tiny caps only):
-            # forced close, the next point starts a fresh window
+            # the window already holds max_length points: forced close,
+            # the next point starts a fresh window
             boundary = position
         else:
             lo_env = np.maximum.accumulate(point_lo[position:end])
             hi_env = np.minimum.accumulate(point_hi[position:end])
             np.maximum(lo_env, lo, out=lo_env)
             np.minimum(hi_env, hi, out=hi_env)
-            diff = sums[position + 1:end + 1] - sums[window_start]
-            cnt = counts[position - window_start:end - window_start]
-            violation = (diff < lo_env * cnt) | (diff > hi_env * cnt)
+            diff = sums[position + 1:end + 1] - base
+            counts = np.arange(position - window_start + 1,
+                               end - window_start + 1, dtype=np.float64)
+            violation = (diff < lo_env * counts) | (diff > hi_env * counts)
             j = int(violation.argmax())
             if violation[j]:
                 boundary = position + j  # the violator starts the next window
@@ -187,16 +270,43 @@ def _pmc_scan_batch(point_lo: np.ndarray, point_hi: np.ndarray,
                 position = end
                 chunk = min(2 * chunk, MAX_CHUNK)
                 continue
-        closes.append(boundary)
+        starts.append(boundary)
         chunk = max(MIN_CHUNK, min(MAX_CHUNK, 2 * (boundary - window_start)))
         window_start = boundary
+        base = float(sums[boundary])
         lo = float(point_lo[boundary])
         hi = float(point_hi[boundary])
         position = boundary + 1
-        if stop_segments and (len(closes) >= stop_after
+        if stop_segments and (len(starts) >= stop_after
                               or boundary - start >= SAMPLE_POINTS):
             return boundary
     return n
+
+
+def pmc_windows(point_lo: np.ndarray, point_hi: np.ndarray, sums: np.ndarray,
+                starts: list[int],
+                window: tuple[float, float, float] | None = None,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(lengths, means, lo, hi)`` of the windows opened at ``starts``.
+
+    Window ``k`` runs to ``starts[k + 1]``, the last one to the end of the
+    arrays.  A carried ``window`` (see ``pmc_scan``) supplies the first
+    window's prefix-sum base and seeds its bounds.  min/max are
+    associative, so folding each window's points in one ``reduceat``
+    reproduces the scalar loop's running bounds bit for bit.
+    """
+    bounds = np.array(starts + [len(point_lo)], dtype=np.int64)
+    lengths = bounds[1:] - bounds[:-1]
+    in_starts = np.maximum(bounds[:-1], 0)
+    bases = sums[in_starts]
+    if window is not None:
+        bases[0] = window[0]
+    means = (sums[bounds[1:]] - bases) / lengths
+    seg_lo = np.maximum.reduceat(point_lo, in_starts)
+    seg_hi = np.minimum.reduceat(point_hi, in_starts)
+    if window is not None:
+        _seed_first(seg_lo, seg_hi, bounds[1], window[1], window[2])
+    return lengths, means, seg_lo, seg_hi
 
 
 def _pmc_sweep(point_lo: np.ndarray, point_hi: np.ndarray, sums: np.ndarray,
@@ -306,170 +416,61 @@ def pmc_chase(values: np.ndarray, error_bound: float, max_length: int,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Full PMC segmentation: sampling dispatch, sweep/scan, bound recovery.
 
-    Returns parallel arrays ``(lengths, means, lo, hi)`` — one entry per
-    closed window, in order, with the admissible-mean bounds accumulated
-    over exactly the window's points (the final window closes at the end
-    of the array).
+    Returns parallel arrays ``(lengths, means, lo, hi)`` (see
+    ``pmc_windows``), the final window closing at the end of the array.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    n = len(values)
     sums = prefix_sums(values)
-    allowed = error_bound * np.abs(values)
-    point_lo = values - allowed
-    point_hi = values + allowed
-    counts = np.arange(1.0, min(n, max_length) + 1.0)
-
-    closes: list[int] = []
-    position = _pmc_scan_batch(point_lo, point_hi, sums, counts, 0, n,
-                               max_length, closes,
-                               stop_segments=SAMPLE_SEGMENTS)
-    if position >= n:
-        # the sampling probe consumed the whole series; no dispatch needed
-        _metric_inc("kernel.pmc.probe_only")
-    else:
-        dense = position <= PMC_DENSE_MEANLEN_MAX * max(1, len(closes))
-        _metric_inc("kernel.pmc.dense" if dense else "kernel.pmc.chunked")
-    if position < n:
-        if position <= PMC_DENSE_MEANLEN_MAX * max(1, len(closes)):
-            offset = position
-            rel_n = n - offset
-            chain = _pmc_sweep(point_lo[offset:], point_hi[offset:],
-                               sums[offset:], max_length).tolist()
-            append = closes.append
-            while position < n:
-                end = chain[position - offset]
-                if end == OPEN:
-                    # The sweep left this window unresolved (longer than
-                    # DENSE_ROUNDS); close just this one segment with the
-                    # chunked scan, then resume following the chain.
-                    position = _pmc_scan_batch(point_lo, point_hi, sums,
-                                               counts, position, n,
-                                               max_length, closes,
-                                               stop_segments=1)
-                elif end == rel_n:
-                    break  # final window runs to the end of the array
-                else:
-                    position = offset + end
-                    append(position)
-        else:
-            position = _pmc_scan_batch(point_lo, point_hi, sums, counts,
-                                       position, n, max_length, closes)
-    bounds = np.empty(len(closes) + 2, dtype=np.int64)
-    bounds[0] = 0
-    bounds[1:-1] = closes
-    bounds[-1] = n
-    lengths = np.diff(bounds)
-    seg_starts = bounds[:-1]
-    means = (sums[bounds[1:]] - sums[seg_starts]) / lengths
-    # min/max are associative, so folding each segment's points in one
-    # reduceat reproduces the scalar loop's running bounds bit for bit.
-    seg_lo = np.maximum.reduceat(point_lo, seg_starts)
-    seg_hi = np.minimum.reduceat(point_hi, seg_starts)
-    return lengths, means, seg_lo, seg_hi
-
-
-def pmc_scan(values: np.ndarray, error_bound: float,
-             state: tuple[int, float, float, float, float], max_length: int,
-             ) -> tuple[list[tuple[int, float, float, float]],
-                        tuple[int, float, float, float, float]]:
-    """Chunked scan with the PMC-Mean window logic (streaming form).
-
-    ``state`` is the open window carried in: ``(count, base, total, lo,
-    hi)`` — ``base`` is the stream's prefix sum at the window start and
-    ``total`` the running prefix sum (one global left fold, never reset),
-    so the window mean is ``(total - base) / count``; ``lo``/``hi`` bound
-    the admissible mean.  Returns the windows that closed — ``(length,
-    mean, lo, hi)`` with the pre-violation bounds — and the window state
-    left open after the last value.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    n = len(values)
-    count, window_base, total, lo, hi = state
-    closes: list[tuple[int, float, float, float]] = []
-    if n == 0:
-        return closes, state
-
-    allowed = error_bound * np.abs(values)
-    point_lo = values - allowed
-    point_hi = values + allowed
-
-    position = 0
-    chunk = MIN_CHUNK
-    scratch = np.empty(MAX_CHUNK + 1)
-    while position < n:
-        c = min(chunk, n - position)
-        end = position + c
-        lo_env = np.maximum.accumulate(point_lo[position:end])
-        hi_env = np.minimum.accumulate(point_hi[position:end])
-        if lo > -math.inf:
-            np.maximum(lo_env, lo, out=lo_env)
-        if hi < math.inf:
-            np.minimum(hi_env, hi, out=hi_env)
-        buf = scratch[:c + 1]
-        buf[0] = total
-        buf[1:] = values[position:end]
-        sums = np.cumsum(buf[:c + 1])[1:]
-        counts = np.arange(count + 1, count + 1 + c)
-        diff = sums - window_base
-        violation = ((counts > max_length)
-                     | (diff < lo_env * counts) | (diff > hi_env * counts))
-        j = int(np.argmax(violation))
-        if not violation[j]:
-            count += c
-            total = float(sums[-1])
-            lo = float(lo_env[-1])
-            hi = float(hi_env[-1])
-            position = end
-            chunk = min(2 * chunk, MAX_CHUNK)
-            continue
-        if j == 0:
-            seg_len, seg_total, seg_lo, seg_hi = count, total, lo, hi
-        else:
-            seg_len = count + j
-            seg_total = float(sums[j - 1])
-            seg_lo = float(lo_env[j - 1])
-            seg_hi = float(hi_env[j - 1])
-        closes.append((seg_len, (seg_total - window_base) / seg_len,
-                       seg_lo, seg_hi))
-        i = position + j
-        count = 1
-        window_base = seg_total
-        total = float(sums[j])
-        lo = float(point_lo[i])
-        hi = float(point_hi[i])
-        position = i + 1
-        chunk = max(MIN_CHUNK, min(MAX_CHUNK, 2 * seg_len))
-    return closes, (count, window_base, total, lo, hi)
+    point_lo, point_hi = point_bounds(values, error_bound)
+    starts = _chase(
+        "pmc",
+        lambda starts, stop: pmc_scan(point_lo, point_hi, sums, max_length,
+                                      starts, stop_segments=stop),
+        lambda offset: _pmc_sweep(point_lo[offset:], point_hi[offset:],
+                                  sums[offset:], max_length),
+        len(values), PMC_DENSE_MEANLEN_MAX)
+    return pmc_windows(point_lo, point_hi, sums, starts)
 
 
 # ---------------------------------------------------------------------------
 # Swing
 # ---------------------------------------------------------------------------
 
-def _swing_scan_batch(values: np.ndarray, low_num: np.ndarray,
-                      high_num: np.ndarray, runs: np.ndarray, start: int,
-                      n: int, max_length: int, closes: list[int],
-                      stop_segments: int = 0) -> int:
-    """Chunked Swing cone scan over ``[start, n)`` (see _pmc_scan_batch)."""
-    window_start = start
-    anchor = float(values[start]) if start < n else 0.0
-    lo, hi = -math.inf, math.inf
-    position = start + 1
+def swing_scan(values: np.ndarray, low_num: np.ndarray,
+               high_num: np.ndarray, max_length: int, starts: list[int],
+               window: tuple[float, float, float] | None = None,
+               stop_segments: int = 0) -> int:
+    """Chunked Swing cone scan from the window open at ``starts[-1]``.
+
+    ``low_num``/``high_num`` are the points' admissible intervals.  With
+    ``window=None`` a fresh window is anchored at ``starts[-1]``;
+    otherwise ``window`` is ``(anchor, lo, hi)``, a window carried in from
+    points before index 0 whose anchor sits at the virtual, negative index
+    ``starts[-1]`` (``-(run + 1)``) with slope cone ``[lo, hi]`` so far.
+    Closes, pauses and the return value are those of ``pmc_scan``.
+    """
+    n = len(values)
+    window_start = start = starts[-1]
+    if window is None:
+        anchor, lo, hi = float(values[start]), -math.inf, math.inf
+    else:
+        anchor, lo, hi = window
+    position = max(start + 1, 0)
     chunk = MIN_CHUNK
-    stop_after = len(closes) + stop_segments
+    stop_after = len(starts) + stop_segments
     while position < n:
         end = min(position + chunk, window_start + max_length, n)
         if end <= position:
-            # the window already holds max_length points (tiny caps only):
-            # forced close, the next point anchors a fresh window
+            # the window already holds max_length points: forced close,
+            # the next point anchors a fresh window
             boundary = position
         else:
-            term_lo = ((low_num[position:end] - anchor)
-                       / runs[position - window_start:end - window_start])
-            term_hi = ((high_num[position:end] - anchor)
-                       / runs[position - window_start:end - window_start])
-            lo_env = np.maximum.accumulate(term_lo)
-            hi_env = np.minimum.accumulate(term_hi)
+            runs = np.arange(position - window_start, end - window_start,
+                             dtype=np.float64)
+            lo_env = np.maximum.accumulate((low_num[position:end] - anchor)
+                                           / runs)
+            hi_env = np.minimum.accumulate((high_num[position:end] - anchor)
+                                           / runs)
             if lo > -math.inf:
                 np.maximum(lo_env, lo, out=lo_env)
             if hi < math.inf:
@@ -486,16 +487,55 @@ def _swing_scan_batch(values: np.ndarray, low_num: np.ndarray,
                 position = end
                 chunk = min(2 * chunk, MAX_CHUNK)
                 continue
-        closes.append(boundary)
+        starts.append(boundary)
         chunk = max(MIN_CHUNK, min(MAX_CHUNK, 2 * (boundary - window_start)))
         window_start = boundary
         anchor = float(values[boundary])
         lo, hi = -math.inf, math.inf
         position = boundary + 1
-        if stop_segments and (len(closes) >= stop_after
+        if stop_segments and (len(starts) >= stop_after
                               or boundary - start >= SAMPLE_POINTS):
             return boundary
     return n
+
+
+def swing_windows(values: np.ndarray, low_num: np.ndarray,
+                  high_num: np.ndarray, starts: list[int],
+                  window: tuple[float, float, float] | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(lengths, lo, hi, anchors)`` of the windows opened at ``starts``.
+
+    Windows run as in ``pmc_windows``; a carried ``window`` (see
+    ``swing_scan``) supplies the first window's anchor and seeds its cone.
+    Each cone is rebuilt in one vectorized pass: the same ``(num - anchor)
+    / run`` terms the scalar loop folds, with anchor positions masked to
+    the fold identity, then one ``reduceat`` per bound.
+    """
+    n = len(values)
+    bounds = np.array(starts + [n], dtype=np.int64)
+    lengths = bounds[1:] - bounds[:-1]
+    in_bounds = np.maximum(bounds, 0)
+    in_starts = in_bounds[:-1]
+    spans = in_bounds[1:] - in_starts
+    anchors = values[in_starts]
+    if window is not None:
+        anchors[0] = window[0]
+    offsets = np.arange(n, dtype=np.int64)
+    offsets -= np.repeat(bounds[:-1], spans)
+    rep_anchor = np.repeat(anchors, spans)
+    run_div = np.maximum(offsets, 1).astype(np.float64)
+    term_lo = np.subtract(low_num, rep_anchor)
+    term_lo /= run_div
+    term_hi = np.subtract(high_num, rep_anchor, out=rep_anchor)
+    term_hi /= run_div
+    at_anchor = offsets == 0
+    term_lo[at_anchor] = -math.inf
+    term_hi[at_anchor] = math.inf
+    seg_lo = np.maximum.reduceat(term_lo, in_starts)
+    seg_hi = np.minimum.reduceat(term_hi, in_starts)
+    if window is not None:
+        _seed_first(seg_lo, seg_hi, spans[0], window[1], window[2])
+    return lengths, seg_lo, seg_hi, anchors
 
 
 def _swing_sweep(values: np.ndarray, low_num: np.ndarray,
@@ -594,73 +634,20 @@ def swing_chase(values: np.ndarray, error_bound: float, max_length: int,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full Swing segmentation: sampling dispatch, sweep/scan, cone recovery.
 
-    Returns parallel arrays ``(lengths, lo, hi)`` — one closed window per
-    entry, in order, with the slope cone accumulated over exactly the
-    window's points (the final window closes at the end of the array).
+    Returns parallel arrays ``(lengths, lo, hi)`` (see ``swing_windows``),
+    the final window closing at the end of the array.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    n = len(values)
-    allowed = error_bound * np.abs(values)
-    low_num = values - allowed
-    high_num = values + allowed
-    runs = np.arange(0.0, min(n, max_length) + 1.0)
-
-    closes: list[int] = []
-    position = _swing_scan_batch(values, low_num, high_num, runs, 0, n,
-                                 max_length, closes,
-                                 stop_segments=SAMPLE_SEGMENTS)
-    if position >= n:
-        _metric_inc("kernel.swing.probe_only")
-    else:
-        dense = position <= SWING_DENSE_MEANLEN_MAX * max(1, len(closes))
-        _metric_inc("kernel.swing.dense" if dense else "kernel.swing.chunked")
-    if position < n:
-        if position <= SWING_DENSE_MEANLEN_MAX * max(1, len(closes)):
-            offset = position
-            rel_n = n - offset
-            chain = _swing_sweep(values[offset:], low_num[offset:],
-                                 high_num[offset:], max_length).tolist()
-            append = closes.append
-            while position < n:
-                end = chain[position - offset]
-                if end == OPEN:
-                    # unresolved window: scan just this one segment, then
-                    # resume following the chain (see pmc_chase)
-                    position = _swing_scan_batch(values, low_num, high_num,
-                                                 runs, position, n,
-                                                 max_length, closes,
-                                                 stop_segments=1)
-                elif end == rel_n:
-                    break  # final window runs to the end of the array
-                else:
-                    position = offset + end
-                    append(position)
-        else:
-            position = _swing_scan_batch(values, low_num, high_num, runs,
-                                         position, n, max_length, closes)
-    bounds = np.empty(len(closes) + 2, dtype=np.int64)
-    bounds[0] = 0
-    bounds[1:-1] = closes
-    bounds[-1] = n
-    lengths = np.diff(bounds)
-    seg_starts = bounds[:-1]
-    # Rebuild each segment's cone in one vectorized pass: the same
-    # ``(num - anchor) / run`` terms the scalar loop folds, with anchor
-    # positions masked to the fold identity, then one reduceat per bound.
-    offsets = np.arange(n, dtype=np.int64)
-    offsets -= np.repeat(seg_starts, lengths)
-    rep_anchor = np.repeat(values[seg_starts], lengths)
-    run_div = np.maximum(offsets, 1).astype(np.float64)
-    term_lo = np.subtract(low_num, rep_anchor)
-    term_lo /= run_div
-    term_hi = np.subtract(high_num, rep_anchor, out=rep_anchor)
-    term_hi /= run_div
-    at_anchor = offsets == 0
-    term_lo[at_anchor] = -math.inf
-    term_hi[at_anchor] = math.inf
-    seg_lo = np.maximum.reduceat(term_lo, seg_starts)
-    seg_hi = np.minimum.reduceat(term_hi, seg_starts)
-    return lengths, seg_lo, seg_hi
+    low_num, high_num = point_bounds(values, error_bound)
+    starts = _chase(
+        "swing",
+        lambda starts, stop: swing_scan(values, low_num, high_num,
+                                        max_length, starts,
+                                        stop_segments=stop),
+        lambda offset: _swing_sweep(values[offset:], low_num[offset:],
+                                    high_num[offset:], max_length),
+        len(values), SWING_DENSE_MEANLEN_MAX)
+    return swing_windows(values, low_num, high_num, starts)[:3]
 
 
 def cameo_chase(values: np.ndarray, error_bound: float, acf_weight: float,
@@ -689,9 +676,7 @@ def cameo_chase(values: np.ndarray, error_bound: float, acf_weight: float,
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = len(values)
-    allowed = error_bound * np.abs(values)
-    low_num = values - allowed
-    high_num = values + allowed
+    low_num, high_num = point_bounds(values, error_bound)
     abs_values = np.abs(values)
     # Python-float mirrors for the warm-up fold: ``tolist`` hands back
     # the exact same doubles, and plain-float arithmetic is IEEE-identical
@@ -811,65 +796,3 @@ def cameo_chase(values: np.ndarray, error_bound: float, acf_weight: float,
     _metric_inc("kernel.cameo.chunked")
     return (np.asarray(lengths, dtype=np.int64), np.asarray(seg_lo),
             np.asarray(seg_hi))
-
-
-def swing_scan(values: np.ndarray, error_bound: float,
-               state: tuple[float, int, float, float], max_length: int,
-               ) -> tuple[list[tuple[int, float, float, float]],
-                          tuple[float, int, float, float]]:
-    """Chunked scan of ``values`` (the points *after* the anchor).
-
-    ``state`` is ``(anchor, run, slope_lo, slope_hi)``: the anchor value,
-    how many points beyond it are already in the window, and the open slope
-    cone.  Returns the windows that closed — ``(length, slope_lo, slope_hi,
-    anchor)`` with the pre-violation cone — and the open window state.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    n = len(values)
-    anchor, run, slope_lo, slope_hi = state
-    closes: list[tuple[int, float, float, float]] = []
-    if n == 0:
-        return closes, state
-
-    allowed = error_bound * np.abs(values)
-    low_num = values - allowed
-    high_num = values + allowed
-
-    position = 0
-    chunk = MIN_CHUNK
-    while position < n:
-        c = min(chunk, n - position)
-        end = position + c
-        runs = np.arange(run + 1, run + 1 + c)
-        lower = (low_num[position:end] - anchor) / runs
-        upper = (high_num[position:end] - anchor) / runs
-        lo_env = np.maximum.accumulate(lower)
-        hi_env = np.minimum.accumulate(upper)
-        if slope_lo > -math.inf:
-            np.maximum(lo_env, slope_lo, out=lo_env)
-        if slope_hi < math.inf:
-            np.minimum(hi_env, slope_hi, out=hi_env)
-        violation = (runs + 1 > max_length) | (lo_env > hi_env)
-        j = int(np.argmax(violation))
-        if not violation[j]:
-            run += c
-            slope_lo = float(lo_env[-1])
-            slope_hi = float(hi_env[-1])
-            position = end
-            chunk = min(2 * chunk, MAX_CHUNK)
-            continue
-        if j == 0:
-            seg_run, seg_lo, seg_hi = run, slope_lo, slope_hi
-        else:
-            seg_run = run + j
-            seg_lo = float(lo_env[j - 1])
-            seg_hi = float(hi_env[j - 1])
-        closes.append((seg_run + 1, seg_lo, seg_hi, anchor))
-        i = position + j
-        anchor = float(values[i])
-        run = 0
-        slope_lo = -math.inf
-        slope_hi = math.inf
-        position = i + 1
-        chunk = max(MIN_CHUNK, min(MAX_CHUNK, 2 * seg_run))
-    return closes, (anchor, run, slope_lo, slope_hi)

@@ -11,12 +11,14 @@ why PMC benefits so strongly from the shared gzip stage: long runs of
 similar constants compress extremely well.
 
 Window means are anchored to one global prefix-sum fold (``mean = (S[end] -
-S[start]) / length``), so the batch scalar loop, the dense-sweep kernel,
-and the streaming encoder all compute bit-identical means.  The
-segmentation runs on the dense first-violation sweep in
-``repro.compression.kernels``.  The scalar per-point loop it replaced is
-``ReferencePMC`` in ``repro/reference.py``, which the equivalence suite
-pins to the kernel (identical segments, byte-identical payloads).
+S[start]) / length``), so the batch scalar loop, the kernels and the
+streaming encoder all compute bit-identical means, and every path stores
+them by one rule (``store_float32``).  The segmentation runs on
+``kernels.pmc_chase``, which picks per series between the dense
+first-violation sweep and the chunked scan the streaming encoder also
+runs.  The scalar per-point loop it replaced is ``ReferencePMC`` in
+``repro/reference.py``, which the equivalence suite pins to the kernel
+(identical segments, byte-identical payloads).
 """
 
 from __future__ import annotations
@@ -41,10 +43,26 @@ def _store_float32(value: float, lo: float, hi: float) -> float:
     if lo <= stored <= hi:
         return stored
     # Rounding pushed the coefficient just outside [lo, hi]; nudging one ULP
-    # toward the interval midpoint restores the guarantee.
+    # toward the interval midpoint restores the guarantee.  An interval
+    # narrower than one float32 ULP holds no float32 at all: the clamp then
+    # lands between float32s, and the stored value rounds back out of it.
     nudged = float(np.float32(np.nextafter(np.float32(stored),
                                            np.float32((lo + hi) / 2.0))))
-    return min(max(nudged, lo), hi)
+    return float(np.float32(min(max(nudged, lo), hi)))
+
+
+def store_float32(means: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                  ) -> np.ndarray:
+    """``_store_float32`` over arrays: the stored value of each mean."""
+    stored = means.astype(np.float32).astype(np.float64)
+    inside = (lo <= stored) & (stored <= hi)
+    if not inside.all():
+        # float32 rounding pushed a few coefficients outside their
+        # admissible interval; nudge those through the scalar helper.
+        for i in np.flatnonzero(~inside):
+            stored[i] = _store_float32(float(means[i]), float(lo[i]),
+                                       float(hi[i]))
+    return stored
 
 
 @register_compressor("PMC", lossy=True, paper=True, grid=True,
@@ -71,18 +89,10 @@ class PMC(Compressor):
     @staticmethod
     def _segments(values: np.ndarray, error_bound: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense-sweep segmentation (see ``repro.compression.kernels``)."""
+        """Kernel segmentation (see ``repro.compression.kernels``)."""
         lengths, means, lo, hi = kernels.pmc_chase(
             values, error_bound, timestamps.MAX_SEGMENT_LENGTH)
-        stored = means.astype(np.float32).astype(np.float64)
-        inside = (lo <= stored) & (stored <= hi)
-        if not inside.all():
-            # float32 rounding pushed a few coefficients outside their
-            # admissible interval; nudge those through the scalar helper.
-            for i in np.flatnonzero(~inside):
-                stored[i] = _store_float32(float(means[i]),
-                                           float(lo[i]), float(hi[i]))
-        return lengths, stored
+        return lengths, store_float32(means, lo, hi)
 
     @staticmethod
     def _reconstruct_series(series: TimeSeries, lengths, means) -> TimeSeries:

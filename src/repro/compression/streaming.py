@@ -4,15 +4,17 @@ The paper's motivating deployment compresses on the wind turbine as values
 arrive (Section 1).  PMC and Swing are online algorithms by construction —
 they maintain a single open window — so this module exposes them as
 incremental encoders: ``push`` one value at a time, collect finished
-segments as they close, and ``flush`` at the end.  The batch compressors
-are thin wrappers over the same logic, and tests verify that streaming and
-batch outputs decode identically.
+segments as they close, and ``flush`` at the end.  Tests verify that the
+streamed segments reconstruct the batch codec's output bit for bit.
 
-``extend`` runs on the chunked-scan kernels shared with the batch
-compressors (``repro.compression.kernels``), so feeding an array is
-vectorized while producing exactly the segments that per-value ``push``
-calls would; the window state carried across ``extend``/``push``/``flush``
-boundaries is identical on both paths.
+``extend`` runs the same chunked scan as the batch chase
+(``kernels.pmc_scan``/``swing_scan``), starting from the window carried in
+from earlier values, and rebuilds the closed windows' bounds as the chase
+does; PMC constants are stored by the batch rule (``pmc.store_float32``).
+So feeding an array is vectorized while producing exactly the segments
+that per-value ``push`` calls would (``push`` stays the scalar reference);
+the window state carried across ``extend``/``push``/``flush`` boundaries is
+identical on both paths.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression import kernels
+from repro.compression import kernels, pmc, swing
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ class OnlinePMC(OnlineCompressor):
     def _close(self) -> None:
         if self._count:
             mean = (self._total - self._base) / self._count
-            value = float(np.float32(min(max(mean, self._lo), self._hi)))
+            value = pmc._store_float32(mean, self._lo, self._hi)
             self._closed_segments.append(ConstantSegment(self._count, value))
 
     def _push(self, value: float) -> None:
@@ -226,19 +228,31 @@ class OnlinePMC(OnlineCompressor):
         self._hi = float(state["hi"])
 
     def extend(self, values) -> list:
-        """Vectorized bulk feed via the chunked PMC scan kernel."""
+        """Vectorized bulk feed via the batch chase's chunked PMC scan."""
         array = self._extend_array(values)
-        before = len(self._closed_segments)
         if array.size == 0:
             return []
-        state = (self._count, self._base, self._total, self._lo, self._hi)
-        closes, state = kernels.pmc_scan(array, self.error_bound, state,
-                                         self.max_segment_length)
-        for length, mean, lo, hi in closes:
-            value = float(np.float32(min(max(mean, lo), hi)))
-            self._closed_segments.append(ConstantSegment(length, value))
-        self._count, self._base, self._total, self._lo, self._hi = state
-        return self._closed_segments[before:]
+        point_lo, point_hi = kernels.point_bounds(array, self.error_bound)
+        sums = kernels.prefix_sums(array, self._total)
+        if self._count:
+            starts = [-self._count]
+            window = (self._base, self._lo, self._hi)
+        else:
+            starts, window = [0], None
+        kernels.pmc_scan(point_lo, point_hi, sums, self.max_segment_length,
+                         starts, window)
+        lengths, means, lo, hi = kernels.pmc_windows(point_lo, point_hi,
+                                                     sums, starts, window)
+        stored = pmc.store_float32(means[:-1], lo[:-1], hi[:-1])
+        closed = [ConstantSegment(length, value) for length, value
+                  in zip(lengths[:-1].tolist(), stored.tolist())]
+        self._closed_segments.extend(closed)
+        self._count = int(lengths[-1])
+        if len(starts) > 1:
+            self._base = float(sums[starts[-1]])
+        self._total = float(sums[-1])
+        self._lo, self._hi = float(lo[-1]), float(hi[-1])
+        return closed
 
 
 class OnlineSwing(OnlineCompressor):
@@ -302,28 +316,30 @@ class OnlineSwing(OnlineCompressor):
         self._slope_hi = float(state["slope_hi"])
 
     def extend(self, values) -> list:
-        """Vectorized bulk feed via the chunked Swing cone kernel."""
+        """Vectorized bulk feed via the batch chase's chunked cone scan."""
         array = self._extend_array(values)
-        before = len(self._closed_segments)
         if array.size == 0:
             return []
-        offset = 0
+        low_num, high_num = kernels.point_bounds(array, self.error_bound)
         if self._anchor is None:
-            self._anchor = float(array[0])
-            self._run = 0
-            offset = 1
-        state = (self._anchor, self._run, self._slope_lo, self._slope_hi)
-        closes, state = kernels.swing_scan(array[offset:], self.error_bound,
-                                           state, self.max_segment_length)
-        for length, slope_lo, slope_hi, anchor in closes:
-            if length == 1 or not math.isfinite(slope_lo):
-                slope = 0.0
-            else:
-                slope = (slope_lo + slope_hi) / 2.0
-            self._closed_segments.append(
-                LinearSegment(length, float(slope), float(anchor)))
-        self._anchor, self._run, self._slope_lo, self._slope_hi = state
-        return self._closed_segments[before:]
+            starts, window = [0], None
+        else:
+            starts = [-(self._run + 1)]
+            window = (self._anchor, self._slope_lo, self._slope_hi)
+        kernels.swing_scan(array, low_num, high_num, self.max_segment_length,
+                           starts, window)
+        lengths, lo, hi, anchors = kernels.swing_windows(
+            array, low_num, high_num, starts, window)
+        slopes = swing.cone_slopes(lengths[:-1], lo[:-1], hi[:-1])
+        closed = [LinearSegment(length, slope, anchor)
+                  for length, slope, anchor in zip(lengths[:-1].tolist(),
+                                                   slopes.tolist(),
+                                                   anchors[:-1].tolist())]
+        self._closed_segments.extend(closed)
+        self._anchor = float(anchors[-1])
+        self._run = int(lengths[-1]) - 1
+        self._slope_lo, self._slope_hi = float(lo[-1]), float(hi[-1])
+        return closed
 
 
 class OnlineLFZip(OnlineCompressor):

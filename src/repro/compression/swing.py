@@ -16,10 +16,13 @@ two if drift ever pushes a point outside its bound; on the kernel path the
 verification runs once, vectorized over the whole series, and only the
 rare drifting windows fall back to the per-window split.
 
-The cone scan runs on the dense first-violation sweep in
-``repro.compression.kernels``.  The scalar per-point loop it replaced is
+The cone scan runs on ``kernels.swing_chase``, which picks per series
+between the dense first-violation sweep and the chunked scan the streaming
+encoder also runs.  The scalar per-point loop it replaced is
 ``ReferenceSwing`` in ``repro/reference.py``, pinned to the kernel by the
-equivalence suite.
+equivalence suite.  Everything after segmentation (fit, verify, split,
+reconstruct, serialize, decode) is shared with CAMEO, which subclasses
+Swing and overrides only the segmentation kernel it calls (``_chase``).
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from repro.registry import register_compressor
 
 _COUNT = struct.Struct("<I")
 
-# Absolute slack granted to float32 coefficient rounding during verification.
-_F32_SLACK = 1e-7
+# Absolute slack granted to coefficient rounding during verification.
+_ROUNDING_SLACK = 1e-7
 
 
 def _cone(values: np.ndarray, error_bound: float, i0: int, i1: int
@@ -54,6 +57,14 @@ def _cone(values: np.ndarray, error_bound: float, i0: int, i1: int
         slope_lo = max(slope_lo, (value - allowed - anchor) / run)
         slope_hi = min(slope_hi, (value + allowed - anchor) / run)
     return slope_lo, slope_hi
+
+
+def cone_slopes(lengths: np.ndarray, cone_lo: np.ndarray,
+                cone_hi: np.ndarray) -> np.ndarray:
+    """Each window's slope: its cone's midpoint, 0 for a lone point."""
+    with np.errstate(invalid="ignore"):
+        return np.where((lengths == 1) | ~np.isfinite(cone_lo),
+                        0.0, (cone_lo + cone_hi) / 2.0)
 
 
 @register_compressor("SWING", lossy=True, paper=True, grid=True,
@@ -80,19 +91,22 @@ class Swing(Compressor):
             num_segments=len(lengths),
         ))
 
+    def _chase(self, values: np.ndarray, error_bound: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Segmentation kernel: window lengths and their slope cones."""
+        return kernels.swing_chase(values, error_bound,
+                                   timestamps.MAX_SEGMENT_LENGTH)
+
     def _segments(self, values: np.ndarray, error_bound: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense cone sweep plus one vectorized fit/verify pass."""
-        lengths, cone_lo, cone_hi = kernels.swing_chase(
-            values, error_bound, timestamps.MAX_SEGMENT_LENGTH)
+        """Kernel segmentation plus one vectorized fit/verify pass."""
+        lengths, cone_lo, cone_hi = self._chase(values, error_bound)
         starts = np.cumsum(lengths) - lengths
-        with np.errstate(invalid="ignore"):
-            slopes = np.where((lengths == 1) | ~np.isfinite(cone_lo),
-                              0.0, (cone_lo + cone_hi) / 2.0)
+        slopes = cone_slopes(lengths, cone_lo, cone_hi)
         intercepts = values[starts]
         fitted = self._reconstruct(lengths, slopes, intercepts)
         allowed = (error_bound * np.abs(values)
-                   + _F32_SLACK * np.maximum(1.0, np.abs(values)))
+                   + _ROUNDING_SLACK * np.maximum(1.0, np.abs(values)))
         drifted = np.abs(fitted - values) > allowed
         bad = np.logical_or.reduceat(drifted, starts) & (lengths > 1)
         if not bad.any():
@@ -115,7 +129,7 @@ class Swing(Compressor):
     def _fit(self, values: np.ndarray, error_bound: float, i0: int, i1: int,
              slope_lo: float, slope_hi: float,
              out: list[tuple[int, float, float]]) -> None:
-        """Emit float32 segments covering ``[i0, i1)``, splitting on drift."""
+        """Emit segments covering ``[i0, i1)``, splitting on drift."""
         length = i1 - i0
         if length <= 0:
             return
@@ -123,16 +137,17 @@ class Swing(Compressor):
             slope = 0.0
         else:
             slope = (slope_lo + slope_hi) / 2.0
-        slope32 = float(slope)
-        intercept32 = float(values[i0])
+        intercept = float(values[i0])
         window = values[i0:i1]
-        fitted = intercept32 + slope32 * np.arange(length, dtype=np.float64)
-        allowed = error_bound * np.abs(window) + _F32_SLACK * np.maximum(
+        fitted = intercept + slope * np.arange(length, dtype=np.float64)
+        allowed = error_bound * np.abs(window) + _ROUNDING_SLACK * np.maximum(
             1.0, np.abs(window))
         if length == 1 or bool(np.all(np.abs(fitted - window) <= allowed)):
-            out.append((length, slope32, intercept32))
+            out.append((length, slope, intercept))
             return
-        # float32 rounding drifted past the bound: split and re-fit halves.
+        # Rounding drifted past the bound: split and re-fit the halves on
+        # the cone alone (CAMEO's aggregate budget is a quality
+        # constraint, not a correctness one).
         mid = i0 + length // 2
         lo_a, hi_a = _cone(values, error_bound, i0, mid)
         self._fit(values, error_bound, i0, mid, lo_a, hi_a, out)

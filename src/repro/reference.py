@@ -51,7 +51,7 @@ from repro.api.schema import _TYPE_CHECKS, SCHEMAS
 
 from repro.compression import lfzip, sz
 from repro.compression.base import Compressor
-from repro.compression.cameo import Cameo
+from repro.compression.cameo import ACF_WEIGHT, Cameo
 from repro.compression.lfzip import LFZip
 from repro.compression.pmc import PMC, _store_float32
 from repro.compression.swing import Swing
@@ -178,7 +178,7 @@ class ReferenceCameo(Cameo):
                   ) -> tuple[list[int], list[float], list[float]]:
         """Per-point segmentation loop."""
         segments: list[tuple[int, float, float]] = []
-        weight = self.acf_weight * error_bound
+        weight = ACF_WEIGHT * error_bound
 
         anchor_index = 0
         anchor_value = float(values[0])

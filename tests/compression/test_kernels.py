@@ -21,11 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import reference
-from repro.compression import PMC, SZ, Swing
+from repro.compression import PMC, SZ, Cameo, Swing
 from repro.compression.timestamps import MAX_SEGMENT_LENGTH
 from repro.datasets import TimeSeries, synthetic
 
-COMPRESSORS = [PMC, Swing, SZ]
+COMPRESSORS = [PMC, Swing, Cameo, SZ]
 DATASET_GENERATORS = [synthetic.ettm1, synthetic.ettm2, synthetic.solar,
                       synthetic.weather, synthetic.elecdem, synthetic.wind]
 BOUNDS = [0.0, 0.01, 0.1, 0.5]
@@ -87,7 +87,7 @@ def test_payloads_identical_on_boundary_shapes(compressor_class, values):
         assert_paths_agree(compressor_class, series, error_bound)
 
 
-@pytest.mark.parametrize("compressor_class", [PMC, Swing])
+@pytest.mark.parametrize("compressor_class", [PMC, Swing, Cameo])
 @pytest.mark.parametrize("length", [MAX_SEGMENT_LENGTH,
                                     MAX_SEGMENT_LENGTH + 1,
                                     2 * MAX_SEGMENT_LENGTH + 17])

@@ -1,5 +1,7 @@
 """Tests for the online (streaming) PMC and Swing encoders."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,30 @@ def test_online_pmc_matches_batch_segmentation():
     encoder.flush()
     batch = PMC().compress(TimeSeries(values, interval=60), 0.1)
     assert len(encoder.segments) == batch.num_segments
-    assert np.allclose(reconstruct(encoder.segments),
-                       batch.decompressed.values, atol=1e-6)
+    assert np.array_equal(reconstruct(encoder.segments),
+                          batch.decompressed.values)
+
+
+def test_streamed_pmc_constants_follow_the_batch_store_rule():
+    # In this walk one 5-point window's mean lies below its admissible
+    # interval [20.0670703104, 20.0706286617].  Clamping it to the lower
+    # edge and then rounding to float32 stored 20.0670700073, one point
+    # outside Definition 4's bound.  The batch rule nudges the float32
+    # one ULP back inside; stream and push now store by that rule too.
+    values = 20 + np.random.default_rng(13).normal(0, 1, 2000).cumsum() * 0.01
+    batch = PMC().compress(TimeSeries(values, interval=60), 0.001)
+    assert np.all(np.abs(batch.decompressed.values - values)
+                  <= 0.001 * np.abs(values))
+    bulk = OnlinePMC(0.001)
+    bulk.extend(values)
+    bulk.flush()
+    pointwise = OnlinePMC(0.001)
+    for value in values:
+        pointwise.push(value)
+    pointwise.flush()
+    for encoder in (bulk, pointwise):
+        assert np.array_equal(reconstruct(encoder.segments),
+                              batch.decompressed.values)
 
 
 def test_online_swing_matches_batch_reconstruction():
@@ -153,8 +177,46 @@ def test_property_streaming_pmc_equals_batch(values, error_bound):
     encoder.extend(values)
     encoder.flush()
     batch = PMC().compress(TimeSeries(values, interval=60), error_bound)
-    assert np.allclose(reconstruct(encoder.segments),
-                       batch.decompressed.values, atol=1e-5)
+    assert np.array_equal(reconstruct(encoder.segments),
+                          batch.decompressed.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                min_size=1, max_size=300),
+       st.sampled_from([0.01, 0.1, 0.5]),
+       st.sampled_from([1, 2, 3, 17, 0xFFFF]),
+       st.data())
+def test_property_carried_window_matches_one_extend_push_and_batch(
+        values, error_bound, cap, data):
+    # every extend after the first resumes the shared scan from a carried
+    # window (virtual negative start); any partition of the stream must
+    # close the same segments as one extend, as per-point push, and as the
+    # batch codec under the same cap
+    from repro.compression import timestamps
+
+    values = np.asarray(values)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(values)),
+                                     max_size=8)))
+    series = TimeSeries(values, interval=60)
+    for online_cls, batch_cls in ((OnlinePMC, PMC), (OnlineSwing, Swing)):
+        parts = online_cls(error_bound, max_segment_length=cap)
+        for part in np.split(values, cuts):
+            parts.extend(part)
+        parts.flush()
+        whole = online_cls(error_bound, max_segment_length=cap)
+        whole.extend(values)
+        whole.flush()
+        pointwise = online_cls(error_bound, max_segment_length=cap)
+        for value in values:
+            pointwise.push(value)
+        pointwise.flush()
+        assert parts.segments == whole.segments == pointwise.segments
+        with mock.patch.object(timestamps, "MAX_SEGMENT_LENGTH", cap):
+            batch = batch_cls().compress(series, error_bound)
+        assert len(parts.segments) == batch.num_segments
+        assert np.array_equal(reconstruct(parts.segments),
+                              batch.decompressed.values)
 
 
 # -- snapshot / restore ------------------------------------------------------
